@@ -79,9 +79,7 @@ pub use incremental::{Applied, GidAggregate, IncrError, IncrementalPipeline, Tre
 pub use loader::{
     FrameCache, FrameLoader, LoadedDay, TenantAttribution, TenantCacheStats, TenantId, UNTENANTED,
 };
-pub use pipeline::{
-    stream_loader, stream_snapshots, stream_store, stream_store_prefetch, SnapshotVisitor, VisitCtx,
-};
+pub use pipeline::{stream_loader, stream_snapshots, stream_store, SnapshotVisitor, VisitCtx};
 pub use query::{FramePred, Scan};
 pub use spider_snapshot::Pred;
 pub use summary::{domain_frame_stats, DomainScanStats, DomainSummaryRow, SummaryTable};

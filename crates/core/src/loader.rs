@@ -2,8 +2,8 @@
 //!
 //! The study's scans were only tractable because Spark loaded Parquet
 //! partitions in parallel; [`FrameLoader`] is the shared-memory twin for
-//! our store. It reads raw `colf` bytes ([`SnapshotStore::read_raw`]),
-//! decodes them straight into column views
+//! our store. It reads raw `colf` bytes, decodes them straight into
+//! column views
 //! ([`spider_snapshot::FrameColumns`]) and builds
 //! [`SnapshotFrame`]s via [`SnapshotFrame::from_columns`] — no
 //! [`spider_snapshot::SnapshotRecord`] is materialized anywhere on this
@@ -30,10 +30,12 @@
 //!
 //! Corruption composes with the integrity layer: decoding is lossy
 //! ([`spider_snapshot::FrameColumns::decode_lossy`]), so a corrupt
-//! non-spine column yields a frame with that column defaulted — the same
-//! salvage semantics as the row reader — and the lost sections are
-//! reported on [`LoadedDay`]. Spine-corrupt days fail with the decode
-//! error, exactly like `SnapshotStore::get_lossy`.
+//! non-spine column yields a frame with that column defaulted and the
+//! lost sections are reported on [`LoadedDay`]. Spine-corrupt days fail
+//! with the decode error. Every read goes through
+//! [`SnapshotStore::decode_day`], the store's one read-decode-heal path,
+//! so a transient short read is re-read once here exactly as it is for
+//! `SnapshotStore::get`.
 
 use crate::frame::SnapshotFrame;
 use rayon::prelude::*;
@@ -470,25 +472,8 @@ impl FrameLoader {
     /// cached (the arena borrow makes them unshareable), so callers
     /// should hold on to the result across delta applications.
     pub fn columns(&self, day: u32) -> Result<Option<FrameColumns>, StoreError> {
-        let Some(bytes) = self.store.read_raw(day)? else {
-            return Ok(None);
-        };
-        let tel = telemetry::global();
-        let sw = tel.stopwatch();
-        let cols = match FrameColumns::decode(&bytes) {
-            Ok(cols) => cols,
-            Err(_) => {
-                // Mirror `frame`'s read-again healing for short reads.
-                let Some(bytes) = self.store.read_raw(day)? else {
-                    return Ok(None);
-                };
-                FrameColumns::decode(&bytes)?
-            }
-        };
-        if let Some(ns) = tel.elapsed_ns(sw) {
-            tel.record("loader.decode_ns", ns);
-        }
-        Ok(Some(cols))
+        self.store
+            .decode_day(day, |bytes| timed_decode(|| FrameColumns::decode(bytes)))
     }
 
     /// Digest of `day`'s raw bytes as currently on disk — the chain
@@ -524,37 +509,30 @@ impl FrameLoader {
     /// column views → frame, with a cache lookup keyed by the bytes'
     /// digest in between. Lossy: corrupt non-spine sections are
     /// defaulted (use [`FrameLoader::load_with_rows`] to see which).
-    ///
-    /// Mirrors `SnapshotStore::get`'s healing: when a decode fails, the
-    /// file is re-read and decoded once more before the error is
-    /// returned, which recovers transient short reads.
     pub fn frame(&self, day: u32) -> Result<Option<Arc<SnapshotFrame>>, StoreError> {
-        let Some(bytes) = self.store.read_raw(day)? else {
-            return Ok(None);
-        };
-        match self.frame_from_bytes(day, &bytes) {
-            Ok(frame) => Ok(Some(frame)),
-            Err(_) => {
-                let Some(bytes) = self.store.read_raw(day)? else {
-                    return Ok(None);
-                };
-                self.frame_from_bytes(day, &bytes).map(Some)
-            }
-        }
+        self.store
+            .decode_day(day, |bytes| self.frame_from_bytes(day, bytes, None))
     }
 
-    fn frame_from_bytes(&self, day: u32, bytes: &[u8]) -> Result<Arc<SnapshotFrame>, StoreError> {
-        let key = (day, section_digest(bytes), 0);
+    /// Cache lookup, then decode + build on a miss. `pred` selects the
+    /// pruned decode and its fingerprint slot of the cache key.
+    fn frame_from_bytes(
+        &self,
+        day: u32,
+        bytes: &[u8],
+        pred: Option<&Pred>,
+    ) -> Result<Arc<SnapshotFrame>, StoreError> {
+        let key = (day, section_digest(bytes), pred.map_or(0, Pred::fingerprint));
         if let Some(frame) = self.cache.get(key) {
             return Ok(frame);
         }
-        let tel = telemetry::global();
-        let sw = tel.stopwatch();
-        let cols = FrameColumns::decode_lossy(bytes)?;
-        let frame = Arc::new(SnapshotFrame::from_columns(&cols));
-        if let Some(ns) = tel.elapsed_ns(sw) {
-            tel.record("loader.decode_ns", ns);
-        }
+        let frame = timed_decode(|| {
+            let cols = match pred {
+                Some(pred) => FrameColumns::decode_pruned(bytes, pred),
+                None => FrameColumns::decode_lossy(bytes),
+            }?;
+            Ok::<_, StoreError>(Arc::new(SnapshotFrame::from_columns(&cols)))
+        })?;
         self.cache.insert(key, Arc::clone(&frame));
         Ok(frame)
     }
@@ -579,67 +557,56 @@ impl FrameLoader {
             telemetry::global().incr("pushdown.days_skipped", 1);
             return Ok(None);
         }
-        let Some(bytes) = self.store.read_raw(day)? else {
-            return Ok(None);
-        };
-        match self.pruned_from_bytes(day, &bytes, pred) {
-            Ok(frame) => Ok(Some(frame)),
-            Err(_) => {
-                let Some(bytes) = self.store.read_raw(day)? else {
-                    return Ok(None);
-                };
-                self.pruned_from_bytes(day, &bytes, pred).map(Some)
-            }
-        }
+        self.store
+            .decode_day(day, |bytes| self.frame_from_bytes(day, bytes, Some(pred)))
     }
 
-    fn pruned_from_bytes(
+    /// Runs `load` over `days` in batches of [`FrameLoader::with_batch`]
+    /// size: within a batch, reads and decodes run on the rayon pool;
+    /// across batches the loader is sequential, bounding peak memory at
+    /// `batch` decoded days regardless of how many are requested. A day
+    /// that is not in the store is an error. With `fail_fast`, no batch
+    /// is started after one that held an error.
+    fn fan_out(
         &self,
-        day: u32,
-        bytes: &[u8],
-        pred: &Pred,
-    ) -> Result<Arc<SnapshotFrame>, StoreError> {
-        let key = (day, section_digest(bytes), pred.fingerprint());
-        if let Some(frame) = self.cache.get(key) {
-            return Ok(frame);
-        }
+        days: &[u32],
+        fail_fast: bool,
+        load: impl Fn(u32) -> Result<Option<Arc<SnapshotFrame>>, StoreError> + Sync,
+    ) -> Vec<(u32, Result<Arc<SnapshotFrame>, StoreError>)> {
         let tel = telemetry::global();
-        let sw = tel.stopwatch();
-        let cols = FrameColumns::decode_pruned(bytes, pred)?;
-        let frame = Arc::new(SnapshotFrame::from_columns(&cols));
-        if let Some(ns) = tel.elapsed_ns(sw) {
-            tel.record("loader.decode_ns", ns);
+        let mut out = Vec::with_capacity(days.len());
+        for chunk in days.chunks(self.batch) {
+            tel.record("loader.batch_occupancy", chunk.len() as u64);
+            let loaded: Vec<_> = chunk
+                .par_iter()
+                .map(|&day| {
+                    let result = load(day).and_then(|opt| {
+                        opt.ok_or_else(|| {
+                            StoreError::Io(std::io::Error::other(format!(
+                                "day {day} is not in the store"
+                            )))
+                        })
+                    });
+                    (day, result)
+                })
+                .collect();
+            let failed = loaded.iter().any(|(_, r)| r.is_err());
+            out.extend(loaded);
+            if fail_fast && failed {
+                break;
+            }
         }
-        self.cache.insert(key, Arc::clone(&frame));
-        Ok(frame)
+        out
     }
 
     /// Loads frames for `days` in parallel, failing fast on the first
     /// error (a requested day that is not in the store is an error —
     /// callers pass days they obtained from [`FrameLoader::days`]).
-    ///
-    /// Days are processed in batches of [`FrameLoader::with_batch`]
-    /// size: within a batch, reads and decodes run on the rayon pool;
-    /// across batches the loader is sequential, bounding peak memory at
-    /// `batch` decoded days regardless of how many are requested.
     pub fn frames(&self, days: &[u32]) -> Result<Vec<Arc<SnapshotFrame>>, StoreError> {
-        let tel = telemetry::global();
-        let mut out = Vec::with_capacity(days.len());
-        for chunk in days.chunks(self.batch) {
-            tel.record("loader.batch_occupancy", chunk.len() as u64);
-            let loaded: Result<Vec<_>, StoreError> = chunk
-                .par_iter()
-                .map(|&day| {
-                    self.frame(day)?.ok_or_else(|| {
-                        StoreError::Io(std::io::Error::other(format!(
-                            "day {day} is not in the store"
-                        )))
-                    })
-                })
-                .collect();
-            out.extend(loaded?);
-        }
-        Ok(out)
+        self.fan_out(days, true, |day| self.frame(day))
+            .into_iter()
+            .map(|(_, frame)| frame)
+            .collect()
     }
 
     /// Loads pruned frames for `days` in parallel under the same batch
@@ -667,48 +634,17 @@ impl FrameLoader {
                 hit
             })
             .collect();
-        let mut out = Vec::with_capacity(candidates.len());
-        for chunk in candidates.chunks(self.batch) {
-            tel.record("loader.batch_occupancy", chunk.len() as u64);
-            let loaded: Result<Vec<_>, StoreError> = chunk
-                .par_iter()
-                .map(|&day| {
-                    self.frame_pruned(day, pred)?.ok_or_else(|| {
-                        StoreError::Io(std::io::Error::other(format!(
-                            "day {day} is not in the store"
-                        )))
-                    })
-                })
-                .collect();
-            out.extend(loaded?);
-        }
-        Ok(out)
+        self.fan_out(&candidates, true, |day| self.frame_pruned(day, pred))
+            .into_iter()
+            .map(|(_, frame)| frame)
+            .collect()
     }
 
     /// Like [`FrameLoader::frames`], but per-day tolerant: every day
     /// yields its own `Result`, so one unreadable day does not abort the
     /// sweep. Order matches the input.
     pub fn try_frames(&self, days: &[u32]) -> Vec<(u32, Result<Arc<SnapshotFrame>, StoreError>)> {
-        let tel = telemetry::global();
-        let mut out = Vec::with_capacity(days.len());
-        for chunk in days.chunks(self.batch) {
-            tel.record("loader.batch_occupancy", chunk.len() as u64);
-            let loaded: Vec<_> = chunk
-                .par_iter()
-                .map(|&day| {
-                    let result = self.frame(day).and_then(|opt| {
-                        opt.ok_or_else(|| {
-                            StoreError::Io(std::io::Error::other(format!(
-                                "day {day} is not in the store"
-                            )))
-                        })
-                    });
-                    (day, result)
-                })
-                .collect();
-            out.extend(loaded);
-        }
-        out
+        self.fan_out(days, false, |day| self.frame(day))
     }
 
     /// Loads rows *and* frame for `day` from one parse — the streaming
@@ -716,28 +652,13 @@ impl FrameLoader {
     /// decode the file twice (or to re-derive the frame when its bytes
     /// are already cached).
     pub fn load_with_rows(&self, day: u32) -> Result<Option<LoadedDay>, StoreError> {
-        let Some(bytes) = self.store.read_raw(day)? else {
-            return Ok(None);
-        };
-        match self.loaded_from_bytes(day, &bytes) {
-            Ok(loaded) => Ok(Some(loaded)),
-            Err(_) => {
-                let Some(bytes) = self.store.read_raw(day)? else {
-                    return Ok(None);
-                };
-                self.loaded_from_bytes(day, &bytes).map(Some)
-            }
-        }
+        self.store
+            .decode_day(day, |bytes| self.loaded_from_bytes(day, bytes))
     }
 
     fn loaded_from_bytes(&self, day: u32, bytes: &[u8]) -> Result<LoadedDay, StoreError> {
         let key = (day, section_digest(bytes), 0);
-        let tel = telemetry::global();
-        let sw = tel.stopwatch();
-        let cols = FrameColumns::decode_lossy_with_rows(bytes)?;
-        if let Some(ns) = tel.elapsed_ns(sw) {
-            tel.record("loader.decode_ns", ns);
-        }
+        let cols = timed_decode(|| FrameColumns::decode_lossy_with_rows(bytes))?;
         let lost_sections = cols.lost_sections().to_vec();
         let (frame, from_cache) = match self.cache.get(key) {
             Some(frame) => (frame, true),
@@ -755,6 +676,18 @@ impl FrameLoader {
             from_cache,
         })
     }
+}
+
+/// Runs one decode, recording its latency under `loader.decode_ns` when
+/// it succeeds.
+fn timed_decode<T, E>(decode: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
+    let tel = telemetry::global();
+    let sw = tel.stopwatch();
+    let decoded = decode()?;
+    if let Some(ns) = tel.elapsed_ns(sw) {
+        tel.record("loader.decode_ns", ns);
+    }
+    Ok(decoded)
 }
 
 #[cfg(test)]
@@ -977,7 +910,7 @@ mod tests {
         let loaded = loader.load_with_rows(0).unwrap().unwrap();
         assert_eq!(loaded.lost_sections, ["uid"]);
         assert!(loaded.frame.uid.iter().all(|&u| u == 0));
-        // The frame agrees with the row path's lossy salvage.
+        // The frame agrees with one built from the salvaged rows.
         let lossy = store.get_lossy(0).unwrap().unwrap();
         assert_eq!(*loaded.frame, SnapshotFrame::build(&lossy.snapshot));
         assert_eq!(loaded.snapshot, lossy.snapshot);

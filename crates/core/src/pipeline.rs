@@ -32,37 +32,6 @@ pub trait SnapshotVisitor {
     fn visit(&mut self, ctx: &VisitCtx<'_>);
 }
 
-/// Streams every snapshot in `store` through `visitors`.
-///
-/// Memory high-water: two snapshots plus two frames, independent of the
-/// store size.
-pub fn stream_store(
-    store: &SnapshotStore,
-    visitors: &mut [&mut dyn SnapshotVisitor],
-) -> Result<u32, StoreError> {
-    let mut prev: Option<(Snapshot, SnapshotFrame)> = None;
-    let mut steps = 0;
-    for snapshot in store.iter() {
-        let snapshot = snapshot?;
-        let frame = SnapshotFrame::build(&snapshot);
-        let diff = prev
-            .as_ref()
-            .map(|(ps, _)| SnapshotDiff::compute(ps, &snapshot));
-        let ctx = VisitCtx {
-            snapshot: &snapshot,
-            frame: &frame,
-            prev: prev.as_ref().map(|(s, f)| (s, f)),
-            diff: diff.as_ref(),
-        };
-        for v in visitors.iter_mut() {
-            v.visit(&ctx);
-        }
-        prev = Some((snapshot, frame));
-        steps += 1;
-    }
-    Ok(steps)
-}
-
 /// Streams in-memory snapshots (tests and examples) through `visitors`.
 pub fn stream_snapshots(snapshots: &[Snapshot], visitors: &mut [&mut dyn SnapshotVisitor]) -> u32 {
     let mut prev: Option<(&Snapshot, SnapshotFrame)> = None;
@@ -165,33 +134,28 @@ mod tests {
     }
 }
 
-/// Streams `store` like [`stream_store`], but loads and decodes the next
-/// snapshot on a producer thread while the visitors process the current
-/// one — pipeline parallelism over the I/O + decode stage. Results are
-/// identical to [`stream_store`] for healthy stores; on multi-core hosts
-/// the wall-clock win approaches the smaller of (decode time, analysis
-/// time).
-///
-/// A convenience wrapper over [`stream_loader`] with a loader derived
-/// from `store` (decoding is lossy, so degraded-but-salvageable days
-/// stream through instead of aborting the pass — the same semantics
-/// `scrub()` promises when it keeps a degraded file in the index).
-pub fn stream_store_prefetch(
+/// Streams every snapshot in `store` through `visitors`:
+/// [`stream_loader`] with a loader derived from `store`. Decoding is
+/// lossy, so degraded-but-salvageable days stream through instead of
+/// aborting the pass — the same semantics `scrub()` promises when it
+/// keeps a degraded file in the index.
+pub fn stream_store(
     store: &SnapshotStore,
     visitors: &mut [&mut dyn SnapshotVisitor],
 ) -> Result<u32, StoreError> {
     stream_loader(&FrameLoader::new(store)?, visitors)
 }
 
-/// Streams every day of `loader`'s store through `visitors`, prefetching
-/// on a producer thread.
+/// Streams every day of `loader`'s store through `visitors`, loading
+/// and decoding the next day on a producer thread while the visitors
+/// process the current one — pipeline parallelism over the I/O + decode
+/// stage.
 ///
 /// The producer runs the columnar fast path per day
 /// ([`FrameLoader::load_with_rows`]): one raw read, one decode that
 /// yields the row snapshot (for diffs) *and* the frame, with the frame
 /// cache consulted first — so a second pass over the same loader skips
-/// every frame build. Frames reach visitors via [`VisitCtx`] exactly as
-/// in [`stream_store`]; memory high-water stays two snapshots plus two
+/// every frame build. Memory high-water stays two snapshots plus two
 /// frames (plus whatever the cache retains), independent of store size.
 pub fn stream_loader(
     loader: &FrameLoader,
@@ -205,7 +169,7 @@ pub fn stream_loader(
     // (it overlaps the visitors' wall-clock instead of nesting inside it).
     let span_parent = spider_telemetry::global().current_path();
     std::thread::scope(|scope| {
-        let (tx, rx) = crossbeam::channel::bounded::<Result<LoadedDay, StoreError>>(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Result<LoadedDay, StoreError>>(1);
         let span_parent = &span_parent;
         scope.spawn(move || {
             let _load = spider_telemetry::global().span_at(span_parent, "load");
@@ -290,17 +254,21 @@ mod prefetch_tests {
     }
 
     #[test]
-    fn prefetch_matches_plain_streaming() {
+    fn store_streaming_matches_in_memory_streaming() {
         let dir = std::env::temp_dir().join(format!("spider-prefetch-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut store = SnapshotStore::open(&dir).unwrap();
-        for day in [0u32, 7, 14, 21] {
-            store.put(&snap(day, 10 + day as usize)).unwrap();
+        let snaps: Vec<Snapshot> = [0u32, 7, 14, 21]
+            .iter()
+            .map(|&day| snap(day, 10 + day as usize))
+            .collect();
+        for s in &snaps {
+            store.put(s).unwrap();
         }
         let mut plain = Collector::default();
-        let plain_steps = stream_store(&store, &mut [&mut plain]).unwrap();
+        let plain_steps = stream_snapshots(&snaps, &mut [&mut plain]);
         let mut fetched = Collector::default();
-        let fetched_steps = stream_store_prefetch(&store, &mut [&mut fetched]).unwrap();
+        let fetched_steps = stream_store(&store, &mut [&mut fetched]).unwrap();
         assert_eq!(plain_steps, fetched_steps);
         assert_eq!(plain.days, fetched.days);
         assert_eq!(plain.new_counts, fetched.new_counts);
@@ -336,7 +304,7 @@ mod prefetch_tests {
         // fire and the assertion on the log below would fail.
         ffs.plan_read(4, FaultKind::TransientEio);
         let mut fetched = Collector::default();
-        let steps = stream_store_prefetch(&store, &mut [&mut fetched]).unwrap();
+        let steps = stream_store(&store, &mut [&mut fetched]).unwrap();
         assert_eq!(steps, 3);
         assert_eq!(fetched.days, vec![0, 7, 14]);
         assert_eq!(
@@ -377,7 +345,7 @@ mod prefetch_tests {
             std::env::temp_dir().join(format!("spider-prefetch-empty-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = SnapshotStore::open(&dir).unwrap();
-        let steps = stream_store_prefetch(&store, &mut []).unwrap();
+        let steps = stream_store(&store, &mut []).unwrap();
         assert_eq!(steps, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -49,10 +49,7 @@
 //! compiled [`FramePred`] keeps per-frame evaluation exact.
 //!
 //! The accounts-database join of §4.1.1 is the [`crate::AnalysisContext`]
-//! passed into key functions. The eager [`Query`] type is a deprecated
-//! shim kept so pre-redesign call sites still compile; it delegates to
-//! the fused paths internally and is no longer exported from the crate
-//! root (reach it as `spider_core::query::Query` during migration).
+//! passed into key functions.
 
 use crate::agg::MultiAgg;
 use crate::engine::Engine;
@@ -590,193 +587,6 @@ impl<'f, P: RowPred> Scan<'f, P> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated eager shim
-// ---------------------------------------------------------------------------
-
-/// Eager row-selection query — **deprecated** in favour of [`Scan`].
-///
-/// Kept so the pre-redesign `Query::over(...).files().group_count(...)`
-/// shape still compiles during migration. Filters are boxed and the
-/// aggregates delegate to the fused engine paths, so results match
-/// [`Scan`] exactly; only the composition is dynamically dispatched.
-///
-/// Migration is mechanical: replace `Query::over` with [`Scan::over`]
-/// (and `Query::with_engine` with [`Scan::with_engine`]) — the builder
-/// surface is a superset.
-#[deprecated(since = "0.2.0", note = "use `Scan`, the lazy fused equivalent")]
-pub struct Query<'f> {
-    frame: &'f SnapshotFrame,
-    engine: Engine,
-    preds: Vec<Box<dyn Fn(&SnapshotFrame, usize) -> bool + Sync + Send + 'f>>,
-}
-
-#[allow(deprecated)]
-impl<'f> Query<'f> {
-    /// Starts a query selecting every row, with the parallel engine.
-    #[deprecated(since = "0.2.0", note = "use `Scan::over`")]
-    pub fn over(frame: &'f SnapshotFrame) -> Query<'f> {
-        #[allow(deprecated)]
-        Self::with_engine(frame, Engine::Parallel)
-    }
-
-    /// Starts a query with an explicit engine.
-    #[deprecated(since = "0.2.0", note = "use `Scan::with_engine`")]
-    pub fn with_engine(frame: &'f SnapshotFrame, engine: Engine) -> Query<'f> {
-        Query {
-            frame,
-            engine,
-            preds: Vec::new(),
-        }
-    }
-
-    fn matches(&self, i: usize) -> bool {
-        self.preds.iter().all(|p| p(self.frame, i))
-    }
-
-    /// Keeps rows matching the predicate.
-    #[deprecated(since = "0.2.0", note = "use `Scan::filter` (lazy, fused)")]
-    pub fn filter(
-        mut self,
-        pred: impl Fn(&SnapshotFrame, usize) -> bool + Sync + Send + 'f,
-    ) -> Self {
-        self.preds.push(Box::new(pred));
-        self
-    }
-
-    /// Keeps only regular files.
-    #[deprecated(since = "0.2.0", note = "use `Scan::files`")]
-    pub fn files(self) -> Self {
-        #[allow(deprecated)]
-        self.filter(|f, i| f.is_file[i])
-    }
-
-    /// Keeps only directories.
-    #[deprecated(since = "0.2.0", note = "use `Scan::dirs`")]
-    pub fn dirs(self) -> Self {
-        #[allow(deprecated)]
-        self.filter(|f, i| !f.is_file[i])
-    }
-
-    /// Number of selected rows.
-    #[deprecated(since = "0.2.0", note = "use `Scan::count`")]
-    pub fn count(&self) -> u64 {
-        self.engine
-            .count_where(self.frame.len(), |i| self.matches(i))
-    }
-
-    /// Extracts a column from the selection.
-    #[deprecated(since = "0.2.0", note = "use `Scan::column`")]
-    pub fn column<T>(&self, get: impl Fn(&SnapshotFrame, usize) -> T) -> Vec<T> {
-        let frame = self.frame;
-        (0..frame.len())
-            .filter(|&i| self.matches(i))
-            .map(|i| get(frame, i))
-            .collect()
-    }
-
-    /// `GROUP BY key -> COUNT(*)`. Rows whose key is `None` are skipped.
-    #[deprecated(since = "0.2.0", note = "use `Scan::group_count`")]
-    pub fn group_count<K>(
-        &self,
-        key: impl Fn(&SnapshotFrame, usize) -> Option<K> + Sync + Send,
-    ) -> FxHashMap<K, u64>
-    where
-        K: Eq + std::hash::Hash + Send,
-    {
-        let frame = self.frame;
-        self.engine.group_fold(
-            frame.len(),
-            |i| {
-                if self.matches(i) {
-                    key(frame, i)
-                } else {
-                    None
-                }
-            },
-            |acc: &mut u64, _| *acc += 1,
-            |a, b| *a += b,
-        )
-    }
-
-    /// `GROUP BY key -> AVG(value)`.
-    #[deprecated(since = "0.2.0", note = "use `Scan::group_mean`")]
-    pub fn group_mean<K>(
-        &self,
-        key: impl Fn(&SnapshotFrame, usize) -> Option<K> + Sync + Send,
-        value: impl Fn(&SnapshotFrame, usize) -> f64 + Sync + Send,
-    ) -> FxHashMap<K, f64>
-    where
-        K: Eq + std::hash::Hash + Send,
-    {
-        let frame = self.frame;
-        let sums: FxHashMap<K, (f64, u64)> = self.engine.group_fold(
-            frame.len(),
-            |i| {
-                if self.matches(i) {
-                    key(frame, i)
-                } else {
-                    None
-                }
-            },
-            |acc: &mut (f64, u64), i| {
-                acc.0 += value(frame, i);
-                acc.1 += 1;
-            },
-            |a, b| {
-                a.0 += b.0;
-                a.1 += b.1;
-            },
-        );
-        sums.into_iter()
-            .map(|(k, (sum, n))| (k, sum / n as f64))
-            .collect()
-    }
-
-    /// `GROUP BY key -> MAX(value)`.
-    #[deprecated(since = "0.2.0", note = "use `Scan::group_max`")]
-    pub fn group_max<K>(
-        &self,
-        key: impl Fn(&SnapshotFrame, usize) -> Option<K> + Sync + Send,
-        value: impl Fn(&SnapshotFrame, usize) -> u64 + Sync + Send,
-    ) -> FxHashMap<K, u64>
-    where
-        K: Eq + std::hash::Hash + Send,
-    {
-        let frame = self.frame;
-        self.engine.group_fold(
-            frame.len(),
-            |i| {
-                if self.matches(i) {
-                    key(frame, i)
-                } else {
-                    None
-                }
-            },
-            |acc: &mut u64, i| *acc = (*acc).max(value(frame, i)),
-            |a, b| *a = (*a).max(b),
-        )
-    }
-
-    /// The `k` groups with the highest counts, descending (ties broken by
-    /// key for determinism).
-    #[deprecated(since = "0.2.0", note = "use `Scan::top_k_groups`")]
-    pub fn top_k_groups<K>(
-        &self,
-        key: impl Fn(&SnapshotFrame, usize) -> Option<K> + Sync + Send,
-        k: usize,
-    ) -> Vec<(K, u64)>
-    where
-        K: Eq + std::hash::Hash + Send + Ord,
-    {
-        #[allow(deprecated)]
-        let mut groups: Vec<(K, u64)> = self.group_count(key).into_iter().collect();
-        groups.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        groups.truncate(k);
-        groups
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1059,34 +869,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_query_shim_still_works() {
-        let f = frame();
-        // The old eager shape compiles untouched and agrees with Scan.
-        assert_eq!(Query::over(&f).files().count(), 3);
-        let per_gid = Query::over(&f).files().group_count(|f, i| Some(f.gid[i]));
-        assert_eq!(
-            per_gid,
-            Scan::over(&f).files().group_count(|f, i| Some(f.gid[i]))
-        );
-        let mean = Query::with_engine(&f, Engine::Sequential)
-            .files()
-            .group_mean(|f, i| Some(f.uid[i]), |f, i| f.atime[i] as f64);
-        assert_eq!(mean[&2], 25.0);
-        let max = Query::over(&f)
-            .files()
-            .group_max(|f, i| Some(f.gid[i]), |f, i| f.stripe_count[i] as u64);
-        assert_eq!(max[&10], 2);
-        assert_eq!(
-            Query::over(&f)
-                .files()
-                .top_k_groups(|f, i| Some(f.gid[i]), 1),
-            vec![(10, 2)]
-        );
-        let atimes = Query::over(&f).files().column(|f, i| f.atime[i]);
-        assert_eq!(atimes, vec![10, 20, 30]);
     }
 }

@@ -1,9 +1,12 @@
-//! Deterministic equivalence suite: the columnar fast path
-//! (`FrameColumns` → `SnapshotFrame::from_columns`) must agree with the
-//! row path (`colf::decode` → `SnapshotFrame::build`) field-for-field —
-//! on clean files, v1 files, and every corrupt-section salvage case the
-//! integrity layer defines. Runs without proptest so the offline harness
-//! can execute it; `tests/prop_frame.rs` adds the randomized twin.
+//! Deterministic equivalence suite for the two frame constructors:
+//! `SnapshotFrame::from_columns` over a `FrameColumns` decode must equal
+//! `SnapshotFrame::build` over the rows derived from that same reader
+//! (`colf::decode*` → `into_snapshot`) field-for-field — on clean files,
+//! the v1 golden, and every corrupt-section salvage case the integrity
+//! layer defines. (There is one colf parser; what differs is how the
+//! derived frame columns — depth, extension, stripe count — are
+//! computed.) Runs without proptest so the offline harness can execute
+//! it; `tests/prop_frame.rs` adds the randomized twin.
 
 use spider_core::{FrameLoader, SnapshotFrame};
 use spider_snapshot::colf::{self, section_table};
@@ -59,7 +62,7 @@ fn assert_paths_equivalent(bytes: &[u8]) {
         }
         (Err(_), Err(_)) => {}
         (row, col) => panic!(
-            "readers disagree: row path ok={}, fast path ok={}",
+            "decodes disagree: with rows ok={}, columns only ok={}",
             row.is_ok(),
             col.is_ok()
         ),
@@ -76,10 +79,9 @@ fn clean_v2_frames_are_identical() {
 
 #[test]
 fn clean_v1_frames_are_identical() {
-    let snap = sample(7, 300);
-    let bytes = colf::encode_v1(&snap);
-    let slow = SnapshotFrame::build(&colf::decode(&bytes).unwrap());
-    let fast = SnapshotFrame::from_columns(&FrameColumns::decode(&bytes).unwrap());
+    let bytes = include_bytes!("../../snapshot/tests/fixtures/tiny-v1.colf");
+    let slow = SnapshotFrame::build(&colf::decode(bytes).unwrap());
+    let fast = SnapshotFrame::from_columns(&FrameColumns::decode(bytes).unwrap());
     assert_eq!(slow, fast);
 }
 

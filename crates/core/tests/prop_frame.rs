@@ -82,8 +82,10 @@ proptest! {
     }
 
     #[test]
-    fn v1_from_columns_equals_build(snap in snapshot_strategy()) {
-        let bytes = colf::encode_v1(&snap);
+    fn v2_from_columns_equals_build(snap in snapshot_strategy()) {
+        // The legacy whole-column section parsers (shared by v1 and v2;
+        // nothing writes v1 any more).
+        let bytes = colf::encode_v2(&snap);
         let cols = FrameColumns::decode(&bytes).unwrap();
         prop_assert_eq!(
             &SnapshotFrame::from_columns(&cols),
@@ -101,13 +103,13 @@ proptest! {
         let pos = pos_seed.index(bytes.len());
         bytes[pos] ^= xor;
 
-        // Strict readers agree on accept/reject.
+        // Rows-kept and columns-only strict decodes agree on accept/reject.
         let row_strict = colf::decode(&bytes);
         let col_strict = FrameColumns::decode(&bytes);
         prop_assert_eq!(row_strict.is_ok(), col_strict.is_ok());
 
-        // Lossy readers agree on salvage: same verdict, same lost
-        // sections, same frame.
+        // Lossy salvage: same verdict, same lost sections, and the frame
+        // built from the derived rows equals the one built from columns.
         match (colf::decode_lossy(&bytes), FrameColumns::decode_lossy(&bytes)) {
             (Ok(row), Ok(col)) => {
                 prop_assert_eq!(&row.lost_sections, col.lost_sections());

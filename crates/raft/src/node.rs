@@ -24,10 +24,9 @@
 
 use crate::log::{LogEntry, LogRecovery, RaftLog, VoteRecord};
 use crate::{derive_seed, splitmix};
-use spider_snapshot::colf;
 use spider_snapshot::store::StoreError;
 use spider_snapshot::xxh::section_digest;
-use spider_snapshot::{RetryPolicy, SnapshotStore, StoreIo};
+use spider_snapshot::{FrameColumns, RetryPolicy, SnapshotStore, StoreIo};
 use spider_telemetry as telemetry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -531,8 +530,9 @@ impl RaftNode {
     }
 
     /// Proposes snapshot `day` with payload `bytes` for replication.
-    /// Returns the raft index it was appended at. Validation is strict
-    /// and happens *before* the entry enters the log: garbage is
+    /// Returns the raft index it was appended at. Validation is a strict
+    /// columns decode (the reader every consumer trusts; no row is
+    /// built) and happens *before* the entry enters the log: garbage is
     /// rejected here, never committed.
     pub fn propose(&mut self, day: u32, bytes: Vec<u8>) -> Result<u64, ProposeError> {
         if self.role != Role::Leader {
@@ -545,14 +545,13 @@ impl RaftNode {
         if day == NOOP_DAY {
             return reject(format!("day {day} is reserved for leadership no-ops"));
         }
-        let decoded = match colf::decode(&bytes) {
-            Ok(s) => s,
+        let header_day = match FrameColumns::decode(&bytes) {
+            Ok(cols) => cols.day(),
             Err(e) => return reject(format!("payload does not decode: {e}")),
         };
-        if decoded.day() != day {
+        if header_day != day {
             return reject(format!(
-                "payload header says day {}, proposed as day {day}",
-                decoded.day()
+                "payload header says day {header_day}, proposed as day {day}"
             ));
         }
         let digest = section_digest(&bytes);
@@ -898,6 +897,13 @@ mod tests {
             node.propose(9, b"garbage".to_vec()),
             Err(ProposeError::Rejected(_))
         ));
+        // Valid digests over a front-coding prefix cut mid-character.
+        let hostile =
+            include_bytes!("../../snapshot/tests/fixtures/hostile-v2-midchar-prefix.colf");
+        match node.propose(42, hostile.to_vec()) {
+            Err(ProposeError::Rejected(why)) => assert!(why.contains("path utf-8"), "{why}"),
+            other => panic!("hostile payload must be rejected, got {other:?}"),
+        }
         let events = node.take_events();
         assert!(events.contains(&NodeEvent::BecameLeader { term: 1 }));
         assert!(matches!(

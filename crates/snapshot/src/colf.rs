@@ -56,14 +56,19 @@
 //! to a full-section decode (reported in `lost_sections`), never to a
 //! wrong answer.
 //!
-//! v1 and v2 files (no checksums / no zones) remain readable; [`decode`]
-//! dispatches on the version byte.
+//! v1 and v2 files (no checksums / no zones) remain readable, but only
+//! v2 and v3 are written.
+//!
+//! This module owns the format constants, the encoders, the v2/v3
+//! skeleton walker ([`parse_layout`]) and the zone-map parser. Section
+//! payloads are parsed in exactly one place, [`crate::columns`];
+//! [`decode`] and [`decode_lossy`] materialize rows from that decode.
 
 use crate::record::SnapshotRecord;
 use crate::snapshot::Snapshot;
 use crate::varint::{get_uvarint, put_uvarint, MAX_VARINT_LEN};
 use crate::xxh::section_digest;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::Buf;
 
 const MAGIC: &[u8; 4] = b"COLF";
 pub(crate) const VERSION_V1: u8 = 1;
@@ -437,48 +442,7 @@ fn assemble_sections(version: u8, header: &[u8], payloads: &[Vec<u8>]) -> Vec<u8
     buf
 }
 
-/// Serializes a snapshot to legacy v1 bytes (no checksums). Kept so
-/// compatibility tests and fixtures can regenerate old-format files.
-pub fn encode_v1(snapshot: &Snapshot) -> Vec<u8> {
-    let records = snapshot.records();
-    let mut buf = BytesMut::with_capacity(64 + records.len() * 24);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION_V1);
-    buf.put_u32_le(snapshot.day());
-    put_uvarint(&mut buf, snapshot.taken_at());
-    put_uvarint(&mut buf, records.len() as u64);
-    for payload in column_payloads(records) {
-        buf.put_slice(&payload);
-    }
-    buf.to_vec()
-}
-
-// ---- column parsers (shared by v1 and v2, and by the columnar fast
-// ---- path in `columns`) --------------------------------------------------
-
-fn parse_paths(buf: &mut &[u8], count: usize) -> Result<Vec<String>, ColfError> {
-    let mut paths = Vec::with_capacity(count);
-    let mut prev = String::new();
-    for _ in 0..count {
-        let shared = get_uvarint(buf).ok_or(ColfError::Truncated("path prefix"))? as usize;
-        let suffix_len = get_uvarint(buf).ok_or(ColfError::Truncated("path suffix len"))? as usize;
-        if shared > prev.len() {
-            return Err(ColfError::BadValue("path prefix length"));
-        }
-        if buf.remaining() < suffix_len {
-            return Err(ColfError::Truncated("path suffix"));
-        }
-        let suffix = std::str::from_utf8(&buf[..suffix_len])
-            .map_err(|_| ColfError::BadValue("path utf-8"))?;
-        let mut path = String::with_capacity(shared + suffix_len);
-        path.push_str(&prev[..shared]);
-        path.push_str(suffix);
-        buf.advance(suffix_len);
-        prev = path.clone();
-        paths.push(path);
-    }
-    Ok(paths)
-}
+// ---- whole-column parsers (v1 and v2 sections; driven by `columns`) -------
 
 pub(crate) fn parse_anchored(
     buf: &mut &[u8],
@@ -512,111 +476,14 @@ pub(crate) fn parse_plain_u32(
 
 pub(crate) type OstColumn = Vec<Vec<(u16, u32)>>;
 
-fn parse_osts(buf: &mut &[u8], count: usize) -> Result<OstColumn, ColfError> {
-    let mut osts_col = Vec::with_capacity(count);
-    for _ in 0..count {
-        let n = get_uvarint(buf).ok_or(ColfError::Truncated("ost count"))? as usize;
-        if n > buf.remaining() + 1 {
-            return Err(ColfError::BadValue("ost count"));
-        }
-        let mut osts = Vec::with_capacity(n);
-        for _ in 0..n {
-            let ost = get_uvarint(buf).ok_or(ColfError::Truncated("ost id"))?;
-            let obj = get_uvarint(buf).ok_or(ColfError::Truncated("ost object"))?;
-            osts.push((
-                u16::try_from(ost).map_err(|_| ColfError::BadValue("ost id"))?,
-                u32::try_from(obj).map_err(|_| ColfError::BadValue("ost object"))?,
-            ));
-        }
-        osts_col.push(osts);
-    }
-    Ok(osts_col)
-}
+// ---- v2/v3 skeleton: header + section table ------------------------------
 
-/// All decoded columns, pre-assembly.
-struct Columns {
-    paths: Vec<String>,
-    atimes: Vec<u64>,
-    ctimes: Vec<u64>,
-    mtimes: Vec<u64>,
-    inos: Vec<u64>,
-    uids: Vec<u32>,
-    gids: Vec<u32>,
-    modes: Vec<u32>,
-    osts: OstColumn,
-}
-
-fn assemble(day: u32, taken_at: u64, mut cols: Columns) -> Result<Snapshot, ColfError> {
-    let records: Vec<SnapshotRecord> = cols
-        .paths
-        .into_iter()
-        .enumerate()
-        .map(|(i, path)| SnapshotRecord {
-            path,
-            atime: cols.atimes[i],
-            ctime: cols.ctimes[i],
-            mtime: cols.mtimes[i],
-            uid: cols.uids[i],
-            gid: cols.gids[i],
-            mode: cols.modes[i],
-            ino: cols.inos[i],
-            osts: std::mem::take(&mut cols.osts[i]),
-        })
-        .collect();
-    Snapshot::from_sorted(day, taken_at, records).map_err(ColfError::Unsorted)
-}
-
-// ---- v1 decoding ---------------------------------------------------------
-
-fn decode_v1(mut buf: &[u8]) -> Result<Snapshot, ColfError> {
-    if buf.remaining() < 4 {
-        return Err(ColfError::Truncated("header"));
-    }
-    let day = buf.get_u32_le();
-    let taken_at = get_uvarint(&mut buf).ok_or(ColfError::Truncated("taken_at"))?;
-    let count = get_uvarint(&mut buf).ok_or(ColfError::Truncated("count"))? as usize;
-    // Defensive preallocation bound: every record costs at least two
-    // bytes in the path column alone, so a `count` beyond the remaining
-    // byte budget is corrupt — without this, a hostile header could
-    // demand a terabyte-sized Vec before the first field fails to parse.
-    if count > buf.remaining() / 2 + 1 {
-        return Err(ColfError::BadValue("record count"));
-    }
-
-    let paths = parse_paths(&mut buf, count)?;
-    let atimes = parse_anchored(&mut buf, count, "atime")?;
-    let ctimes = parse_anchored(&mut buf, count, "ctime")?;
-    let mtimes = parse_anchored(&mut buf, count, "mtime")?;
-    let inos = parse_anchored(&mut buf, count, "ino")?;
-    let uids = parse_plain_u32(&mut buf, count, "uid")?;
-    let gids = parse_plain_u32(&mut buf, count, "gid")?;
-    let modes = parse_plain_u32(&mut buf, count, "mode")?;
-    let osts = parse_osts(&mut buf, count)?;
-    assemble(
-        day,
-        taken_at,
-        Columns {
-            paths,
-            atimes,
-            ctimes,
-            mtimes,
-            inos,
-            uids,
-            gids,
-            modes,
-            osts,
-        },
-    )
-}
-
-// ---- v2 decoding ---------------------------------------------------------
-
-/// One section's location within a v2 buffer, as reported by
+/// One section's location within a v2/v3 buffer, as reported by
 /// [`section_table`]. Offsets are absolute, so test harnesses (and the
 /// fault-matrix suite) can target corruption at specific sections.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SectionSpan {
-    /// Section name (one of [`SECTION_NAMES`], `"header"`, or
+    /// Section name (one of [`SECTION_NAMES_V3`], `"header"`, or
     /// `"section-table"`).
     pub name: &'static str,
     /// Absolute byte offset of the section payload within the buffer.
@@ -625,8 +492,33 @@ pub struct SectionSpan {
     pub len: usize,
 }
 
-/// Parsed v2/v3 skeleton: header fields plus the located sections.
-/// Shared with the columnar fast path in [`crate::columns`].
+/// One column section as located by [`parse_layout`].
+pub(crate) struct Section<'a> {
+    /// Where the table says the payload lives.
+    pub(crate) span: SectionSpan,
+    /// `None` when the file is too short for this section.
+    payload: Option<&'a [u8]>,
+    digest: u64,
+}
+
+impl<'a> Section<'a> {
+    /// The payload, once it is present and its digest verifies — the
+    /// error otherwise is what a strict decode reports.
+    pub(crate) fn verified(&self) -> Result<&'a [u8], ColfError> {
+        match self.payload {
+            None => Err(ColfError::Truncated(self.span.name)),
+            Some(p) if section_digest(p) != self.digest => Err(ColfError::Corrupt {
+                section: self.span.name,
+                offset: self.span.offset,
+            }),
+            Some(p) => Ok(p),
+        }
+    }
+}
+
+/// Parsed v2/v3 skeleton: header fields plus the located sections. The
+/// only walker of the header and section table; [`crate::columns`]
+/// decodes the payloads it locates.
 pub(crate) struct Layout<'a> {
     pub(crate) version: u8,
     pub(crate) day: u32,
@@ -634,9 +526,10 @@ pub(crate) struct Layout<'a> {
     pub(crate) count: usize,
     /// Rows per zone (v3 only; 0 for v2, which has no zones).
     pub(crate) zone_rows: usize,
-    /// `(name, absolute_offset, payload_or_none, stored_digest)`;
-    /// `None` payload means the file is too short for this section.
-    pub(crate) sections: Vec<(&'static str, usize, Option<&'a [u8]>, u64)>,
+    /// The checksummed header and section-table entry regions.
+    header: SectionSpan,
+    table: SectionSpan,
+    pub(crate) sections: Vec<Section<'a>>,
 }
 
 impl Layout<'_> {
@@ -746,14 +639,20 @@ pub(crate) fn parse_layout(full: &[u8]) -> Result<Layout<'_>, ColfError> {
 
     // Locate payloads. A truncated file can cut sections off the tail;
     // record those as absent rather than failing here, so the lossy
-    // reader can still recover the intact prefix.
-    let payload_base = full.len() - buf.remaining();
-    let mut offset = payload_base;
+    // reader can still recover the intact prefix. Lengths come straight
+    // from varints, so the running offset is checked.
+    let mut offset = full.len() - buf.remaining();
     let mut sections = Vec::with_capacity(n_sections);
     for (name, len, digest) in entries {
-        let payload = full.get(offset..offset + len);
-        sections.push((name, offset, payload, digest));
-        offset += len;
+        let end = offset
+            .checked_add(len)
+            .ok_or(ColfError::BadValue("section table"))?;
+        sections.push(Section {
+            span: SectionSpan { name, offset, len },
+            payload: full.get(offset..end),
+            digest,
+        });
+        offset = end;
     }
     Ok(Layout {
         version,
@@ -761,6 +660,16 @@ pub(crate) fn parse_layout(full: &[u8]) -> Result<Layout<'_>, ColfError> {
         taken_at,
         count,
         zone_rows,
+        header: SectionSpan {
+            name: "header",
+            offset: header_off,
+            len: header_len,
+        },
+        table: SectionSpan {
+            name: "section-table",
+            offset: table_off,
+            len: table_end - table_off,
+        },
         sections,
     })
 }
@@ -927,32 +836,6 @@ pub(crate) fn parse_zonemap(mut payload: &[u8], n_zones: usize) -> Result<ZoneMa
     Ok(ZoneMap { exact, dict, zones })
 }
 
-fn parse_section(name: &str, mut payload: &[u8], count: usize) -> Result<ParsedSection, ColfError> {
-    let buf = &mut payload;
-    let parsed = match name {
-        "paths" => ParsedSection::Paths(parse_paths(buf, count)?),
-        "atime" | "ctime" | "mtime" | "ino" => {
-            ParsedSection::U64(parse_anchored(buf, count, "anchored column")?)
-        }
-        "uid" | "gid" | "mode" => ParsedSection::U32(parse_plain_u32(buf, count, "plain column")?),
-        "osts" => ParsedSection::Osts(parse_osts(buf, count)?),
-        _ => unreachable!("unknown section {name}"),
-    };
-    if buf.has_remaining() {
-        // A section that decodes but leaves bytes behind is misaligned
-        // with the header's record count — corrupt, not just odd.
-        return Err(ColfError::BadValue("section length"));
-    }
-    Ok(parsed)
-}
-
-enum ParsedSection {
-    Paths(Vec<String>),
-    U64(Vec<u64>),
-    U32(Vec<u32>),
-    Osts(OstColumn),
-}
-
 /// Outcome of a lossy decode: the snapshot assembled from every intact
 /// section, plus the names of sections that were corrupt or missing and
 /// got replaced with defaults (zeros / empty stripe lists).
@@ -962,94 +845,6 @@ pub struct LossyDecode {
     pub snapshot: Snapshot,
     /// Sections that could not be recovered (empty = full recovery).
     pub lost_sections: Vec<&'static str>,
-}
-
-fn decode_v2(full: &[u8], lossy: bool) -> Result<LossyDecode, ColfError> {
-    let layout = parse_layout(full)?;
-    debug_assert_eq!(layout.version, VERSION_V2);
-    let count = layout.count;
-    let mut cols = Columns {
-        paths: Vec::new(),
-        atimes: vec![0; count],
-        ctimes: vec![0; count],
-        mtimes: vec![0; count],
-        inos: vec![0; count],
-        uids: vec![0; count],
-        gids: vec![0; count],
-        modes: vec![0; count],
-        osts: vec![Vec::new(); count],
-    };
-    let mut lost = Vec::new();
-    let mut have_paths = false;
-
-    let paths_offset = layout.sections.first().map(|s| s.1).unwrap_or(0);
-    for &(name, offset, payload, digest) in &layout.sections {
-        let intact = payload.is_some_and(|p| section_digest(p) == digest);
-        let parsed = if intact {
-            parse_section(name, payload.expect("intact implies present"), count)
-        } else if payload.is_none() {
-            Err(ColfError::Truncated(name))
-        } else {
-            Err(ColfError::Corrupt {
-                section: name,
-                offset,
-            })
-        };
-        match parsed {
-            Ok(ParsedSection::Paths(paths)) => {
-                cols.paths = paths;
-                have_paths = true;
-            }
-            Ok(ParsedSection::U64(col)) => match name {
-                "atime" => cols.atimes = col,
-                "ctime" => cols.ctimes = col,
-                "mtime" => cols.mtimes = col,
-                _ => cols.inos = col,
-            },
-            Ok(ParsedSection::U32(col)) => match name {
-                "uid" => cols.uids = col,
-                "gid" => cols.gids = col,
-                _ => cols.modes = col,
-            },
-            Ok(ParsedSection::Osts(col)) => cols.osts = col,
-            Err(e) => {
-                if !lossy {
-                    return Err(e);
-                }
-                lost.push(name);
-            }
-        }
-    }
-
-    // Paths are the record spine: without them there is nothing to hang
-    // the other columns on, lossy or not.
-    if !have_paths {
-        return Err(ColfError::Corrupt {
-            section: "paths",
-            offset: paths_offset,
-        });
-    }
-    let snapshot = assemble(layout.day, layout.taken_at, cols)?;
-    Ok(LossyDecode {
-        snapshot,
-        lost_sections: lost,
-    })
-}
-
-// ---- v3 decoding ---------------------------------------------------------
-
-/// v3 row decode rides the columnar decoder in [`crate::columns`] (one
-/// implementation of the zone logic), then materializes records. The
-/// strictness guarantee is therefore identical on both paths by
-/// construction.
-fn decode_v3(full: &[u8], lossy: bool) -> Result<LossyDecode, ColfError> {
-    let cols = crate::columns::decode_v3_columns(full, lossy, true, None)?;
-    let lost_sections = cols.lost_sections().to_vec();
-    let snapshot = cols.into_snapshot()?;
-    Ok(LossyDecode {
-        snapshot,
-        lost_sections,
-    })
 }
 
 // ---- public decode entry points ------------------------------------------
@@ -1062,8 +857,7 @@ pub(crate) fn version_of(buf: &[u8]) -> Result<u8, ColfError> {
 }
 
 /// The telemetry counter charged when section `name` is lost by a lossy
-/// decode. Static per section so recording allocates nothing; shared by
-/// the row decoder here and the columnar decoder in `columns`.
+/// decode. Static per section so recording allocates nothing.
 pub(crate) fn lost_section_counter(name: &str) -> &'static str {
     match name {
         "paths" => "colf.lost.paths",
@@ -1084,22 +878,7 @@ pub(crate) fn lost_section_counter(name: &str) -> &'static str {
 /// Deserializes a `colf` buffer (v1, v2, or v3) back into a snapshot.
 /// Strict: any corrupt or truncated section is an error.
 pub fn decode(buf: &[u8]) -> Result<Snapshot, ColfError> {
-    let result = version_of(buf).and_then(|v| match v {
-        VERSION_V1 => decode_v1(&buf[5..]),
-        VERSION_V2 => decode_v2(buf, false).map(|d| d.snapshot),
-        VERSION_V3 => decode_v3(buf, false).map(|d| d.snapshot),
-        v => Err(ColfError::BadVersion(v)),
-    });
-    let tel = spider_telemetry::global();
-    match &result {
-        Ok(snap) => {
-            tel.incr("colf.decode.strict_ok", 1);
-            tel.incr("colf.decode.bytes", buf.len() as u64);
-            tel.incr("colf.decode.rows", snap.len() as u64);
-        }
-        Err(_) => tel.incr("colf.decode.failed", 1),
-    }
-    result
+    crate::columns::decode_columns(buf, false, true, None)?.into_snapshot()
 }
 
 /// Lossy deserialization: recovers everything the checksums vouch for,
@@ -1107,82 +886,23 @@ pub fn decode(buf: &[u8]) -> Result<Snapshot, ColfError> {
 /// them. v1 files carry no checksums, so they decode strictly (a v1
 /// success is a full recovery).
 pub fn decode_lossy(buf: &[u8]) -> Result<LossyDecode, ColfError> {
-    let result = version_of(buf).and_then(|v| match v {
-        VERSION_V1 => decode_v1(&buf[5..]).map(|snapshot| LossyDecode {
-            snapshot,
-            lost_sections: Vec::new(),
-        }),
-        VERSION_V2 => decode_v2(buf, true),
-        VERSION_V3 => decode_v3(buf, true),
-        v => Err(ColfError::BadVersion(v)),
-    });
-    let tel = spider_telemetry::global();
-    match &result {
-        Ok(d) => {
-            if d.lost_sections.is_empty() {
-                tel.incr("colf.decode.lossy_clean", 1);
-            } else {
-                tel.incr("colf.decode.lossy_degraded", 1);
-                for name in &d.lost_sections {
-                    tel.incr(lost_section_counter(name), 1);
-                }
-            }
-            tel.incr("colf.decode.bytes", buf.len() as u64);
-            tel.incr("colf.decode.rows", d.snapshot.len() as u64);
-        }
-        Err(_) => tel.incr("colf.decode.failed", 1),
-    }
-    result
+    let cols = crate::columns::decode_columns(buf, true, true, None)?;
+    Ok(LossyDecode {
+        lost_sections: cols.lost_sections().to_vec(),
+        snapshot: cols.into_snapshot()?,
+    })
 }
 
 /// Locations of all checksummed regions in a v2/v3 buffer: `"header"`,
 /// `"section-table"`, then one span per column section. Fault-injection
 /// tests use this to target corruption precisely.
 pub fn section_table(full: &[u8]) -> Result<Vec<SectionSpan>, ColfError> {
-    let names = section_names_of(version_of(full)?)?;
-    let mut buf = &full[5..];
-    let header_len = get_uvarint(&mut buf).ok_or(ColfError::Truncated("header"))? as usize;
-    let header_off = full.len() - buf.remaining();
-    if buf.remaining() < header_len + 8 {
-        return Err(ColfError::Truncated("header"));
-    }
-    buf.advance(header_len + 8);
-    let mut spans = vec![SectionSpan {
-        name: "header",
-        offset: header_off,
-        len: header_len,
-    }];
-    if !buf.has_remaining() {
-        return Err(ColfError::Truncated("section-table"));
-    }
-    let n_sections = buf.get_u8() as usize;
-    let table_off = full.len() - buf.remaining();
-    let mut entries = Vec::with_capacity(n_sections);
-    for _ in 0..n_sections {
-        if !buf.has_remaining() {
-            return Err(ColfError::Truncated("section-table"));
-        }
-        let id = buf.get_u8();
-        let len = get_uvarint(&mut buf).ok_or(ColfError::Truncated("section-table"))? as usize;
-        read_digest(&mut buf, "section-table")?;
-        let name = names
-            .get(id as usize - 1)
-            .ok_or(ColfError::BadValue("section table"))?;
-        entries.push((*name, len));
-    }
-    let table_end = full.len() - buf.remaining();
-    read_digest(&mut buf, "section-table")?;
-    spans.push(SectionSpan {
-        name: "section-table",
-        offset: table_off,
-        len: table_end - table_off,
-    });
-    let mut offset = full.len() - buf.remaining();
-    for (name, len) in entries {
-        spans.push(SectionSpan { name, offset, len });
-        offset += len;
-    }
-    Ok(spans)
+    let layout = parse_layout(full)?;
+    let sections = layout.sections.into_iter().map(|s| s.span);
+    Ok([layout.header, layout.table]
+        .into_iter()
+        .chain(sections)
+        .collect())
 }
 
 /// Reads the `day` field from a file prefix without decoding the body —
@@ -1260,13 +980,17 @@ mod tests {
         assert_eq!(decoded, snap);
     }
 
+    /// The frozen v1 golden (nothing writes v1 any more); its content
+    /// is pinned by `golden_fixtures::v1_fixture_still_decodes`.
+    const V1_FIXTURE: &[u8] = include_bytes!("../tests/fixtures/tiny-v1.colf");
+
     #[test]
     fn v1_files_remain_readable() {
-        let snap = sample_snapshot(64);
-        let v1 = encode_v1(&snap);
-        assert_eq!(v1[4], 1);
-        assert_eq!(decode(&v1).unwrap(), snap);
-        let lossy = decode_lossy(&v1).unwrap();
+        assert_eq!(V1_FIXTURE[4], 1);
+        let snap = decode(V1_FIXTURE).unwrap();
+        assert_eq!(snap.day(), 42);
+        assert_eq!(snap.len(), 4);
+        let lossy = decode_lossy(V1_FIXTURE).unwrap();
         assert_eq!(lossy.snapshot, snap);
         assert!(lossy.lost_sections.is_empty());
     }
@@ -1357,11 +1081,34 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_section_length_is_rejected() {
+        // A correctly digested header and section table whose first
+        // length sits just under u64::MAX: the running payload offset
+        // must not wrap (or, in debug builds, panic).
+        let mut header = 7u32.to_le_bytes().to_vec();
+        header.extend_from_slice(&[0, 0]); // taken_at = 0, count = 0
+        let mut table = Vec::new();
+        for id in 1..=SECTION_NAMES.len() as u8 {
+            table.push(id);
+            put_uvarint(&mut table, if id == 1 { u64::MAX - 8 } else { 0 });
+            table.extend_from_slice(&section_digest(&[]).to_le_bytes());
+        }
+        let mut bytes = b"COLF\x02".to_vec();
+        put_uvarint(&mut bytes, header.len() as u64);
+        bytes.extend_from_slice(&header);
+        bytes.extend_from_slice(&section_digest(&header).to_le_bytes());
+        bytes.push(SECTION_NAMES.len() as u8);
+        bytes.extend_from_slice(&table);
+        bytes.extend_from_slice(&section_digest(&table).to_le_bytes());
+        let bad = ColfError::BadValue("section table");
+        assert_eq!(decode(&bytes).unwrap_err(), bad);
+        assert_eq!(decode_lossy(&bytes).unwrap_err(), bad);
+        assert_eq!(section_table(&bytes).unwrap_err(), bad);
+    }
+
+    #[test]
     fn truncation_anywhere_is_an_error_not_a_panic() {
-        for bytes in [
-            encode(&sample_snapshot(20)),
-            encode_v1(&sample_snapshot(20)),
-        ] {
+        for bytes in [encode(&sample_snapshot(20)), V1_FIXTURE.to_vec()] {
             for cut in 0..bytes.len() {
                 let result = decode(&bytes[..cut]);
                 assert!(result.is_err(), "cut at {cut} decoded successfully");
@@ -1541,10 +1288,9 @@ mod tests {
         let snap = sample_snapshot(5);
         let v3 = encode(&snap);
         let v2 = encode_v2(&snap);
-        let v1 = encode_v1(&snap);
         assert_eq!(peek_day(&v3[..PEEK_PREFIX_LEN.min(v3.len())]), Some(14));
         assert_eq!(peek_day(&v2[..PEEK_PREFIX_LEN.min(v2.len())]), Some(14));
-        assert_eq!(peek_day(&v1[..PEEK_PREFIX_LEN.min(v1.len())]), Some(14));
+        assert_eq!(peek_day(&V1_FIXTURE[..PEEK_PREFIX_LEN]), Some(42));
         assert_eq!(peek_day(b"JUNK"), None);
         assert_eq!(peek_day(b"COLF\x02"), None);
         assert_eq!(peek_day(b"COLF\x03"), None);
@@ -1602,6 +1348,5 @@ mod tests {
         ];
         let snap = Snapshot::new(0, 0, records);
         assert_eq!(decode(&encode(&snap)).unwrap(), snap);
-        assert_eq!(decode(&encode_v1(&snap)).unwrap(), snap);
     }
 }

@@ -21,6 +21,7 @@
 //!   snapshot cannot silently masquerade as a different date.
 
 use crate::colf;
+use crate::columns::FrameColumns;
 use crate::io::{OsIo, StoreIo};
 use crate::snapshot::Snapshot;
 use spider_telemetry as telemetry;
@@ -417,9 +418,10 @@ impl SnapshotStore {
     /// Persists pre-encoded `colf` bytes for `day` verbatim — the
     /// replication apply path, where a committed log entry carries the
     /// exact bytes every replica must hold so store digests converge
-    /// byte-for-byte. The bytes are strict-decoded first and the header
-    /// day cross-checked, so a corrupt or mislabeled entry can never be
-    /// admitted. Days must be unique, as in [`SnapshotStore::put`].
+    /// byte-for-byte. The bytes are strict-decoded first (columns only —
+    /// no row is built to validate) and the header day cross-checked, so
+    /// a corrupt or mislabeled entry can never be admitted. Days must be
+    /// unique, as in [`SnapshotStore::put`].
     pub fn put_raw(&mut self, day: u32, bytes: &[u8]) -> Result<(), StoreError> {
         if self.days.binary_search(&day).is_ok() {
             return Err(StoreError::DuplicateDay(day));
@@ -447,11 +449,11 @@ impl SnapshotStore {
     /// Validates and atomically writes raw colf bytes for `day`,
     /// indexing it (idempotent on the index).
     fn admit_raw(&mut self, day: u32, bytes: &[u8]) -> Result<(), StoreError> {
-        let decoded = colf::decode(bytes)?;
-        if decoded.day() != day {
+        let header_day = FrameColumns::decode(bytes)?.day();
+        if header_day != day {
             return Err(StoreError::DayMismatch {
                 file_day: day,
-                header_day: decoded.day(),
+                header_day,
             });
         }
         let path = self.file_path(day);
@@ -543,55 +545,55 @@ impl SnapshotStore {
             .map(|bytes| crate::xxh::section_digest(&bytes)))
     }
 
-    fn read_day(&self, day: u32) -> Result<Vec<u8>, StoreError> {
-        let path = self.file_path(day);
-        Ok(self.with_retry(StoreOp::Read, || self.io.read(&path))?)
-    }
-
     /// Reads the raw `colf` bytes for `day` without decoding, if the day
-    /// is indexed. This is the entry point for the columnar fast path
-    /// (`spider-core`'s `FrameLoader`), which decodes the bytes straight
-    /// into column views and keys its cache by their section digest.
+    /// is indexed — what digests and delta building read; decoding
+    /// consumers go through [`SnapshotStore::decode_day`].
     pub fn read_raw(&self, day: u32) -> Result<Option<Vec<u8>>, StoreError> {
         if self.days.binary_search(&day).is_err() {
             return Ok(None);
         }
-        self.read_day(day).map(Some)
+        let path = self.file_path(day);
+        Ok(Some(self.with_retry(StoreOp::Read, || self.io.read(&path))?))
+    }
+
+    /// Reads `day`'s raw bytes and hands them to `decode` — the one
+    /// read path under every decoding consumer (`get`, `get_lossy`,
+    /// `scrub`, and `spider-core`'s `FrameLoader`). When the decode
+    /// fails, the file is read once more and decoded again, which heals
+    /// short reads without masking at-rest corruption; a heal is counted
+    /// (`store.decode_heals`, [`SnapshotStore::transient_retries`]) only
+    /// when that second decode succeeds. `Ok(None)`: day not indexed.
+    pub fn decode_day<T, E: Into<StoreError>>(
+        &self,
+        day: u32,
+        decode: impl Fn(&[u8]) -> Result<T, E>,
+    ) -> Result<Option<T>, StoreError> {
+        let Some(bytes) = self.read_raw(day)? else {
+            return Ok(None);
+        };
+        if let Ok(decoded) = decode(&bytes) {
+            return Ok(Some(decoded));
+        }
+        let Some(bytes) = self.read_raw(day)? else {
+            return Ok(None);
+        };
+        let decoded = decode(&bytes).map_err(Into::into)?;
+        self.retries.fetch_add(1, Ordering::Relaxed);
+        telemetry::global().incr("store.decode_heals", 1);
+        Ok(Some(decoded))
     }
 
     /// Loads the snapshot for `day`, if present. Strict: a failed
-    /// checksum anywhere is an error. Transparently retries the read
-    /// once more when the first decode fails, which heals short reads
-    /// without masking at-rest corruption.
+    /// checksum anywhere is an error.
     pub fn get(&self, day: u32) -> Result<Option<Snapshot>, StoreError> {
-        if self.days.binary_search(&day).is_err() {
-            return Ok(None);
-        }
-        match colf::decode(&self.read_day(day)?) {
-            Ok(snap) => Ok(Some(snap)),
-            Err(_) => {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                telemetry::global().incr("store.decode_heals", 1);
-                Ok(Some(colf::decode(&self.read_day(day)?)?))
-            }
-        }
+        self.decode_day(day, colf::decode)
     }
 
     /// Loads the snapshot for `day` with lossy section recovery: corrupt
     /// non-spine sections are dropped (and named) instead of failing the
     /// whole snapshot.
     pub fn get_lossy(&self, day: u32) -> Result<Option<colf::LossyDecode>, StoreError> {
-        if self.days.binary_search(&day).is_err() {
-            return Ok(None);
-        }
-        match colf::decode_lossy(&self.read_day(day)?) {
-            Ok(d) => Ok(Some(d)),
-            Err(_) => {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                telemetry::global().incr("store.decode_heals", 1);
-                Ok(Some(colf::decode_lossy(&self.read_day(day)?)?))
-            }
-        }
+        self.decode_day(day, colf::decode_lossy)
     }
 
     /// Verifies every stored snapshot, quarantining the unrecoverable
@@ -607,23 +609,25 @@ impl SnapshotStore {
         let _span = telemetry::global().span("scrub");
         let mut health = StoreHealth::default();
         for day in self.days.clone() {
-            match self.get_lossy(day) {
-                Ok(Some(lossy)) => {
-                    if lossy.snapshot.day() != day {
+            // Columns only: the verdict needs the header day and the
+            // lost-section list, not one record per inode.
+            match self.decode_day(day, FrameColumns::decode_lossy) {
+                Ok(Some(cols)) => {
+                    if cols.day() != day {
                         self.quarantine_day(
                             day,
                             format!(
                                 "header records day {} but file is named for day {day}",
-                                lossy.snapshot.day()
+                                cols.day()
                             ),
                             &mut health,
                         );
-                    } else if lossy.lost_sections.is_empty() {
+                    } else if cols.lost_sections().is_empty() {
                         health.healthy_days.push(day);
                     } else {
                         health.degraded.push(DegradedDay {
                             day,
-                            lost_sections: lossy.lost_sections,
+                            lost_sections: cols.lost_sections().to_vec(),
                         });
                     }
                 }
@@ -681,7 +685,6 @@ impl SnapshotStore {
     /// their pairs are skipped. Returns `(built, skipped)` counts;
     /// telemetry: `store.deltas_written` per sidecar.
     pub fn ensure_deltas(&self) -> Result<(u64, u64), StoreError> {
-        use crate::columns::FrameColumns;
         let _span = telemetry::global().span("ensure_deltas");
         let mut built = 0u64;
         let mut skipped = 0u64;
@@ -1029,6 +1032,9 @@ mod tests {
         assert_eq!(health.substitute_for(14), Some(7));
         assert_eq!(store.days(), &[0, 7, 21]);
         assert!(dir.join(QUARANTINE_DIR).join("snap-00014.colf").exists());
+        // Day 14 is rotten at rest: re-reading it recovered nothing, so
+        // it must not be reported as a healed transient error.
+        assert_eq!(health.transient_retries, 0);
         // The degraded day still serves lossy reads.
         let lossy = store.get_lossy(7).unwrap().unwrap();
         assert_eq!(lossy.lost_sections, vec!["osts"]);
@@ -1100,6 +1106,7 @@ mod tests {
         let (store, ffs) = fault_store(&dir, 5);
         ffs.plan_read(1, FaultKind::ShortRead);
         assert_eq!(store.get(7).unwrap().unwrap(), snap(7, 20));
+        assert!(store.transient_retries() >= 1, "a heal that worked counts");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1172,6 +1179,12 @@ mod tests {
         assert!(matches!(
             store.put_raw(9, b"not colf"),
             Err(StoreError::Colf(_))
+        ));
+        // Valid digests over a front-coding prefix cut mid-character.
+        let hostile = include_bytes!("../tests/fixtures/hostile-v2-midchar-prefix.colf");
+        assert!(matches!(
+            store.put_raw(42, hostile),
+            Err(StoreError::Colf(colf::ColfError::BadValue("path utf-8")))
         ));
         // The digest is a pure function of the bytes: a second store
         // admitting the same entry fingerprints identically.

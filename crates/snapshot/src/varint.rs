@@ -25,6 +25,7 @@ pub fn put_uvarint(buf: &mut impl BufMut, mut value: u64) {
 
 /// Decodes an unsigned LEB128 varint. Returns `None` on truncated or
 /// over-long (> 10 byte) input.
+#[inline]
 pub fn get_uvarint(buf: &mut impl Buf) -> Option<u64> {
     let mut value: u64 = 0;
     let mut shift = 0u32;

@@ -1,14 +1,16 @@
 //! Golden-fixture regression tests for the colf format.
 //!
 //! `tests/fixtures/` holds tiny committed `.colf` files — valid v1,
-//! v2, and v3, plus deliberately corrupted variants. They freeze the
-//! on-disk format: an encoder change that silently breaks the archive
-//! of half a terabyte of historical snapshots fails here first, against
-//! files a few hundred bytes long.
+//! v2, and v3, plus deliberately corrupted and hostile variants. They
+//! freeze the on-disk format: an encoder change that silently breaks
+//! the archive of half a terabyte of historical snapshots fails here
+//! first, against files a few hundred bytes long.
 //!
 //! Regenerate (after an *intentional* format change) with:
 //! `SPIDER_BLESS_FIXTURES=1` set for this test binary, then commit the
-//! new files alongside the code change.
+//! new files alongside the code change. `tiny-v1.colf` is the
+//! exception: nothing writes v1 any more, so it is a frozen read-only
+//! golden that the bless helper never touches.
 
 use spider_snapshot::colf::{self, ColfError};
 use spider_snapshot::record::SnapshotRecord;
@@ -112,17 +114,57 @@ fn v3_zonemap_corrupt(v3: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Hostile variants: every digest verifies, but the second path's
+/// shared-prefix length (2) lands inside the first path's two-byte `é`,
+/// so the front-coded result would not be UTF-8. A reader must answer
+/// `BadValue("path utf-8")`, never slice a `str` mid-character.
+fn midchar_prefix_variants() -> Vec<(&'static str, Vec<u8>)> {
+    use spider_snapshot::xxh::section_digest;
+    let paths: &[u8] = &[0, 3, b'/', 0xC3, 0xA9, 2, 1, b'a'];
+    // Two rows of zeros in every other column (anchored columns carry a
+    // leading minimum).
+    let anchored: &[u8] = &[0, 0, 0];
+    let plain: &[u8] = &[0, 0];
+    let payloads = [
+        paths, anchored, anchored, anchored, anchored, plain, plain, plain, plain,
+    ];
+    let header = [42, 0, 0, 0, 0, 2]; // day 42 (u32-LE), taken_at 0, count 2
+
+    let mut v1 = b"COLF\x01".to_vec();
+    v1.extend_from_slice(&header);
+    v1.extend(payloads.iter().copied().flatten());
+
+    let mut table = Vec::new();
+    for (i, payload) in payloads.iter().enumerate() {
+        table.extend_from_slice(&[i as u8 + 1, payload.len() as u8]);
+        table.extend_from_slice(&section_digest(payload).to_le_bytes());
+    }
+    let mut v2 = b"COLF\x02".to_vec();
+    v2.push(header.len() as u8);
+    v2.extend_from_slice(&header);
+    v2.extend_from_slice(&section_digest(&header).to_le_bytes());
+    v2.push(payloads.len() as u8);
+    v2.extend_from_slice(&table);
+    v2.extend_from_slice(&section_digest(&table).to_le_bytes());
+    v2.extend(payloads.iter().copied().flatten());
+
+    vec![
+        ("hostile-v1-midchar-prefix.colf", v1),
+        ("hostile-v2-midchar-prefix.colf", v2),
+    ]
+}
+
 fn all_fixtures() -> Vec<(&'static str, Vec<u8>)> {
     let snap = fixture_snapshot();
     let v2 = colf::encode_v2(&snap);
     let v3 = colf::encode(&snap);
     let mut out = vec![
-        ("tiny-v1.colf", colf::encode_v1(&snap)),
         ("tiny-v2.colf", v2.clone()),
         ("tiny-v3.colf", v3.clone()),
         ("tiny-v3-zonemap-corrupt.colf", v3_zonemap_corrupt(&v3)),
     ];
     out.extend(corrupt_variants(&v2));
+    out.extend(midchar_prefix_variants());
     out
 }
 
@@ -157,9 +199,9 @@ fn v2_fixture_still_decodes() {
 
 #[test]
 fn encoder_output_is_byte_stable() {
-    // The committed fixtures pin the encoders byte-for-byte: any change
-    // to the layout, varint packing, zone framing, or checksum seed
-    // shows up here.
+    // The committed fixtures pin the v2 and v3 encoders byte-for-byte:
+    // any change to the layout, varint packing, zone framing, or
+    // checksum seed shows up here.
     assert_eq!(
         colf::encode(&fixture_snapshot()),
         read_fixture("tiny-v3.colf"),
@@ -169,11 +211,6 @@ fn encoder_output_is_byte_stable() {
         colf::encode_v2(&fixture_snapshot()),
         read_fixture("tiny-v2.colf"),
         "v2 encoder output drifted from the golden fixture"
-    );
-    assert_eq!(
-        colf::encode_v1(&fixture_snapshot()),
-        read_fixture("tiny-v1.colf"),
-        "v1 encoder output drifted from the golden fixture"
     );
 }
 
@@ -251,6 +288,19 @@ fn truncated_fixture_errors_strictly_and_salvages_lossily() {
     let lossy = colf::decode_lossy(&bytes).expect("prefix sections salvage");
     assert_eq!(lossy.lost_sections, vec!["osts"]);
     assert_eq!(lossy.snapshot.len(), fixture_snapshot().len());
+}
+
+#[test]
+fn midchar_prefix_fixtures_are_rejected_not_panicked() {
+    use spider_snapshot::FrameColumns;
+    for (name, _) in midchar_prefix_variants() {
+        let bytes = read_fixture(name);
+        let bad = ColfError::BadValue("path utf-8");
+        assert_eq!(colf::decode(&bytes).unwrap_err(), bad, "{name}");
+        // (Lossy v2 reports the unparseable spine as lost instead.)
+        assert!(colf::decode_lossy(&bytes).is_err(), "{name}");
+        assert_eq!(FrameColumns::decode(&bytes).unwrap_err(), bad, "{name}");
+    }
 }
 
 #[test]

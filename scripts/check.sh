@@ -21,7 +21,8 @@ if timeout 90 cargo fetch --quiet 2>/dev/null; then
         echo "   -- SPIDER_FAULT_SEED=$seed"
         SPIDER_FAULT_SEED=$seed cargo test -q -p spider-snapshot --test fault_matrix
     done
-    # The columnar fast path must stay bit-identical to the row path,
+    # There is one colf parser; the two frame constructors must agree
+    # on it (`SnapshotFrame::build` over derived rows ≡ `from_columns`),
     # including under corruption; run the dedicated suites explicitly so
     # a failure names them, then smoke the benchmark's cross-checks.
     echo "== frame equivalence (deterministic + property suites)"
@@ -29,7 +30,8 @@ if timeout 90 cargo fetch --quiet 2>/dev/null; then
     cargo test -q -p spider-core --test prop_frame
     # Predicate pushdown must return exactly the rows the closure path
     # keeps, including under injected zone-map corruption; the golden
-    # fixtures pin the v1/v2/v3 encoders byte-for-byte.
+    # fixtures pin the v2/v3 encoders byte-for-byte, keep the frozen v1
+    # file readable, and hold the hostile fixtures rejected.
     echo "== pushdown equivalence (deterministic + property suites)"
     cargo test -q -p spider-core --test pushdown_equivalence
     cargo test -q -p spider-core --test prop_pushdown

@@ -24,7 +24,7 @@ say() { printf '\n\033[1m== %s\033[0m\n' "$*"; }
 say "stubs"
 rustc --edition $EDITION -O -A warnings --crate-type proc-macro \
     --crate-name serde_derive scripts/offline/serde_derive.rs --out-dir "$DEPS"
-for stub in serde bytes rand rayon rustc_hash crossbeam; do
+for stub in serde bytes rand rayon rustc_hash; do
     $RUSTC --crate-type rlib --crate-name $stub scripts/offline/$stub.rs \
         $( [ $stub = serde ] && echo "--extern serde_derive=$DEPS/libserde_derive.so" )
 done
@@ -42,7 +42,7 @@ CRATES=(
     "spider_raft:crates/raft/src/lib.rs:spider_snapshot spider_telemetry"
     "spider_workload:crates/workload/src/lib.rs:spider_stats spider_fsmeta rand rustc_hash serde"
     "spider_graph:crates/graph/src/lib.rs:spider_stats rayon rustc_hash"
-    "spider_core:crates/core/src/lib.rs:spider_stats spider_telemetry spider_fsmeta spider_snapshot spider_raft spider_graph spider_workload rayon crossbeam rustc_hash serde"
+    "spider_core:crates/core/src/lib.rs:spider_stats spider_telemetry spider_fsmeta spider_snapshot spider_raft spider_graph spider_workload rayon rustc_hash serde"
     "spider_serve:crates/serve/src/lib.rs:spider_snapshot spider_core spider_telemetry rustc_hash"
     "spider_sim:crates/simulate/src/lib.rs:spider_fsmeta spider_snapshot spider_telemetry spider_workload spider_core rand rustc_hash serde"
     "spider_report:crates/report/src/lib.rs:serde serde_json"
@@ -162,8 +162,8 @@ if [ -z "$FILTER" ] || [[ "obs_smoke" == *"$FILTER"* ]]; then
     "$OUT/spider-metalab" flightrec --dir "$OUT/obs-smoke" --validate >/dev/null
 fi
 
-# Columnar fast-path benchmark smoke: tiny run, asserts the row-path /
-# fast-path fingerprint cross-checks internally (sequential under the
+# Columnar fast-path benchmark smoke: tiny run, asserts internally that
+# rows-then-`build` and `from_columns` fingerprint alike (sequential under the
 # rayon stub, so timings here are not representative — see BENCH notes).
 if [ -z "$FILTER" ] || [[ "frame_path" == *"$FILTER"* ]]; then
     say "build + smoke frame_path bench"
