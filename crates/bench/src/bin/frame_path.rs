@@ -13,7 +13,8 @@
 //! scan** section — the same typed predicate answered by a cold pruned
 //! load (`frames_pruned`, colf v3 zone maps skipping whole zones), a
 //! cold unpruned load (full decode then `filter_pred`), and a warm
-//! pruned cache — written to `BENCH_frame_path.json` (or the path given
+//! scan (`filter_pred` over cached full frames; pruned frames are never
+//! cached) — written to `BENCH_frame_path.json` (or the path given
 //! as the first argument). Every pairing cross-checks a fingerprint
 //! over all frame columns (selective cases over the surviving rows), so
 //! a speedup can never come from computing a different answer. A
@@ -29,7 +30,7 @@
 //! Usage: `frame_path [OUT.json] [--days N] [--rows N] [--reps N] [--trace FILE]`
 
 use spider_core::query::RowPred;
-use spider_core::{FrameLoader, FramePred, Pred, SnapshotFrame};
+use spider_core::{FrameLoader, FramePred, Pred, Scan, SnapshotFrame};
 use spider_snapshot::colf::{self, section_table};
 use spider_snapshot::columns::FrameColumns;
 use spider_snapshot::{Snapshot, SnapshotRecord, SnapshotStore};
@@ -279,8 +280,8 @@ fn main() {
     });
     cases.push(("selective_scan_cold_unpruned", total, ns, unpruned_fp));
 
+    // Pruned loads bypass the cache: every one is cold.
     let (ns, pruned_fp) = time(&mut || {
-        loader.cache().clear();
         loader
             .frames_pruned(&all_days, &pred)
             .unwrap()
@@ -291,18 +292,21 @@ fn main() {
     assert_eq!(pruned_fp, unpruned_fp, "selective pruned scan diverged");
     cases.push(("selective_scan_cold_pruned", total, ns, pruned_fp));
 
-    loader.cache().clear();
-    let _ = loader.frames_pruned(&all_days, &pred).unwrap(); // warm
+    let _ = loader.frames(&all_days).unwrap(); // warm
     let (ns, warm_fp) = time(&mut || {
         loader
-            .frames_pruned(&all_days, &pred)
+            .frames(&all_days)
             .unwrap()
             .iter()
-            .map(|f| selected_fingerprint(f, 0..f.len()))
+            .filter(|f| pred.matches_day(f.day()))
+            .map(|f| {
+                let rows = Scan::over(f).filter_pred(&pred).column(|_, i| i);
+                selected_fingerprint(f, rows.into_iter())
+            })
             .fold(0u64, |a, fp| a ^ fp.rotate_left(17))
     });
-    assert_eq!(warm_fp, unpruned_fp, "warm pruned scan diverged");
-    cases.push(("selective_scan_warm_pruned", total, ns, warm_fp));
+    assert_eq!(warm_fp, unpruned_fp, "warm selective scan diverged");
+    cases.push(("selective_scan_warm", total, ns, warm_fp));
 
     // --- non-timed: corrupt-section salvage equivalence ---
     {
@@ -336,7 +340,6 @@ fn main() {
     loader.cache().clear();
     let _ = loader.frames(&all_days).unwrap(); // cold: decodes every day
     let _ = loader.frames(&all_days).unwrap(); // cached: hits every day
-    loader.cache().clear();
     let _ = loader.frames_pruned(&all_days, &pred).unwrap(); // pushdown counters
     tel.disable();
     let telemetry = spider_telemetry::TelemetrySnapshot::capture(tel).to_json();

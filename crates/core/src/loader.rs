@@ -3,30 +3,29 @@
 //! The study's scans were only tractable because Spark loaded Parquet
 //! partitions in parallel; [`FrameLoader`] is the shared-memory twin for
 //! our store. It reads raw `colf` bytes, decodes them straight into
-//! column views
-//! ([`spider_snapshot::FrameColumns`]) and builds
+//! column views ([`spider_snapshot::FrameColumns`]) and builds
 //! [`SnapshotFrame`]s via [`SnapshotFrame::from_columns`] — no
 //! [`spider_snapshot::SnapshotRecord`] is materialized anywhere on this
 //! path — with N days in flight at once under a bounded batch budget.
 //!
-//! Decoded frames land in an LRU [`FrameCache`] keyed by
-//! `(day, section digest of the file's bytes, predicate fingerprint)`.
-//! Keying by content digest rather than by day alone means the cache can
-//! never serve a stale frame: a day that was quarantined and later
-//! healed (or re-written by a fresh simulation) hashes differently,
-//! misses, and is re-decoded, while byte-identical reloads hit without
-//! any explicit invalidation protocol. The third component is `0` for
-//! full frames and the [`spider_snapshot::Pred`] fingerprint for frames
-//! loaded through [`FrameLoader::frame_pruned`] — a late-materialized
-//! partial frame holds only the predicate's surviving rows, so it must
-//! never alias a full-frame load (or a load under a different
-//! predicate) of the same bytes.
+//! Full decoded frames land in an LRU [`FrameCache`] keyed by
+//! `(day, section digest of the file's bytes)`. Keying by content digest
+//! rather than by day alone means the cache can never serve a stale
+//! frame: a day that was quarantined and later healed (or re-written by a
+//! fresh simulation) hashes differently, misses, and is re-decoded, while
+//! byte-identical reloads hit without any explicit invalidation protocol.
+//! Only full frames are cached — one entry per day serves every
+//! predicate, filtered in place ([`crate::query::FramePred::select`]) —
+//! and a caller that already holds a day's digest hits through
+//! [`FrameLoader::frame_at`] without touching the file.
 //!
-//! Predicate pushdown starts here: [`FrameLoader::frames_pruned`] tests
-//! each requested day against the predicate's day range *before opening
-//! the file* (counted under `pushdown.days_skipped`), then decodes
+//! Predicate pushdown is the **cold path**: [`FrameLoader::frames_pruned`]
+//! tests each requested day against the predicate's day range *before
+//! opening the file* (counted under `pushdown.days_skipped`), then decodes
 //! survivors through [`FrameColumns::decode_pruned`], which consults the
 //! colf v3 zone maps to skip whole zones without touching their bytes.
+//! A pruned frame holds only its predicate's rows, so it goes to the
+//! caller and never into the cache.
 //!
 //! Corruption composes with the integrity layer: decoding is lossy
 //! ([`spider_snapshot::FrameColumns::decode_lossy`]), so a corrupt
@@ -47,10 +46,8 @@ use spider_snapshot::{Pred, Snapshot, SnapshotStore};
 use spider_telemetry as telemetry;
 use std::sync::{Arc, Mutex};
 
-/// Cache key: `(day, section digest of the colf bytes, predicate
-/// fingerprint — 0 for full frames)`. See [`Pred::fingerprint`] (always
-/// non-zero) for why partial frames can never collide with full ones.
-pub type FrameKey = (u32, u64, u64);
+/// Cache key: `(day, section digest of the colf bytes)`.
+pub type FrameKey = (u32, u64);
 
 /// Identifies which tenant's working set a cache entry belongs to.
 /// Tenant `0` is the untenanted default every load charges unless the
@@ -105,6 +102,7 @@ struct Entry {
 
 #[derive(Default)]
 struct CacheInner {
+    capacity: usize,
     map: FxHashMap<FrameKey, Entry>,
     tick: u64,
     hits: u64,
@@ -117,8 +115,8 @@ struct CacheInner {
 }
 
 impl CacheInner {
-    fn budget(&self, tenant: TenantId, capacity: usize) -> usize {
-        self.budgets.get(&tenant).copied().unwrap_or(capacity)
+    fn budget(&self, tenant: TenantId) -> usize {
+        self.budgets.get(&tenant).copied().unwrap_or(self.capacity)
     }
 
     fn resident(&self, tenant: TenantId) -> usize {
@@ -145,7 +143,6 @@ impl CacheInner {
 /// can therefore never flush every other tenant's hot days.
 pub struct FrameCache {
     inner: Mutex<CacheInner>,
-    capacity: usize,
     // Pre-resolved global-registry mirrors of the local counters, so the
     // telemetry report sees cache behaviour without polling every cache.
     tel_hits: telemetry::Counter,
@@ -159,8 +156,10 @@ impl FrameCache {
     pub fn new(capacity: usize) -> FrameCache {
         let tel = telemetry::global();
         FrameCache {
-            inner: Mutex::new(CacheInner::default()),
-            capacity,
+            inner: Mutex::new(CacheInner {
+                capacity,
+                ..CacheInner::default()
+            }),
             tel_hits: tel.counter("cache.hits"),
             tel_misses: tel.counter("cache.misses"),
             tel_evictions: tel.counter("cache.evictions"),
@@ -218,7 +217,7 @@ impl FrameCache {
     /// over-budget tenants' entries, else LRU among entries whose owner
     /// keeps at least one other frame (or has a zero budget), else
     /// plain LRU. Returns the key to evict.
-    fn victim(inner: &CacheInner, capacity: usize) -> Option<FrameKey> {
+    fn victim(inner: &CacheInner) -> Option<FrameKey> {
         let lru = |pred: &dyn Fn(TenantId) -> bool| -> Option<FrameKey> {
             inner
                 .map
@@ -227,8 +226,8 @@ impl FrameCache {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(&k, _)| k)
         };
-        lru(&|t| inner.resident(t) > inner.budget(t, capacity))
-            .or_else(|| lru(&|t| inner.resident(t) >= 2 || inner.budget(t, capacity) == 0))
+        lru(&|t| inner.resident(t) > inner.budget(t))
+            .or_else(|| lru(&|t| inner.resident(t) >= 2 || inner.budget(t) == 0))
             .or_else(|| lru(&|_| true))
     }
 
@@ -236,17 +235,17 @@ impl FrameCache {
     /// is full. The entry is owned by the inserting thread's attributed
     /// tenant. A no-op at capacity 0.
     pub fn insert(&self, key: FrameKey, frame: Arc<SnapshotFrame>) {
-        if self.capacity == 0 {
-            return;
-        }
         let tenant = Self::current_tenant();
         let mut inner = self.inner.lock().expect("frame cache poisoned");
+        if inner.capacity == 0 {
+            return;
+        }
         inner.tick += 1;
         let tick = inner.tick;
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
+        if inner.map.len() >= inner.capacity && !inner.map.contains_key(&key) {
             // O(len) scans; the cache holds at most a few hundred days,
             // so a heap would be more code than the scans are cost.
-            if let Some(victim) = Self::victim(&inner, self.capacity) {
+            if let Some(victim) = Self::victim(&inner) {
                 let evicted = inner.map.remove(&victim).expect("victim exists");
                 let owner_left = {
                     let stats = inner.tenants.entry(evicted.tenant).or_default();
@@ -260,10 +259,11 @@ impl FrameCache {
                 // fault). Unreachable by construction; counted, never
                 // panicked, so production behaviour degrades gracefully.
                 if owner_left == 0
-                    && inner.budget(evicted.tenant, self.capacity) >= 1
-                    && inner.tenants.iter().any(|(&t, s)| {
-                        t != evicted.tenant && s.resident > inner.budget(t, self.capacity)
-                    })
+                    && inner.budget(evicted.tenant) >= 1
+                    && inner
+                        .tenants
+                        .iter()
+                        .any(|(&t, s)| t != evicted.tenant && s.resident > inner.budget(t))
                 {
                     inner.fairness_violations += 1;
                     telemetry::global().trigger(
@@ -311,7 +311,14 @@ impl FrameCache {
 
     /// Maximum number of cached frames.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.inner.lock().expect("frame cache poisoned").capacity
+    }
+
+    /// Raises the capacity to `capacity` (never shrinks, so nothing is
+    /// evicted here). Tenants without an explicit budget follow it.
+    fn grow_to(&self, capacity: usize) {
+        let mut inner = self.inner.lock().expect("frame cache poisoned");
+        inner.capacity = inner.capacity.max(capacity);
     }
 
     /// `(hits, misses, evictions)` since creation or the last
@@ -395,19 +402,24 @@ pub struct LoadedDay {
 pub struct FrameLoader {
     store: SnapshotStore,
     cache: Arc<FrameCache>,
+    /// True until [`FrameLoader::with_cache_capacity`] pins a capacity:
+    /// the default tracks the day count across [`FrameLoader::rescan`].
+    cache_follows_days: bool,
     batch: usize,
 }
 
 impl FrameLoader {
     /// Creates a loader sharing `store`'s directory, I/O seam, and retry
     /// policy. Defaults: cache capacity = number of stored days (every
-    /// repeated pass over the store hits), batch = rayon pool size.
+    /// repeated pass over the store hits; [`FrameLoader::rescan`] keeps
+    /// it so as days are appended), batch = rayon pool size.
     pub fn new(store: &SnapshotStore) -> Result<FrameLoader, StoreError> {
         let handle = SnapshotStore::open_lenient(store.dir(), store.io(), store.retry_policy())?;
         let cache = Arc::new(FrameCache::new(handle.len()));
         Ok(FrameLoader {
             store: handle,
             cache,
+            cache_follows_days: true,
             batch: rayon::current_num_threads().max(1),
         })
     }
@@ -417,8 +429,8 @@ impl FrameLoader {
     /// live node's. Because committed days are byte-identical on every
     /// replica (the cluster admits them by digest), a loader re-opened
     /// against a *different* replica after a failover produces the same
-    /// frames — and since [`FrameKey`] includes the bytes' digest, any
-    /// shared cache stays valid across the switch.
+    /// frames — and since [`FrameKey`] is the bytes' digest, any shared
+    /// cache stays valid across the switch.
     pub fn replicated(cluster: &spider_raft::Cluster) -> Result<FrameLoader, StoreError> {
         let store = cluster.replica().ok_or_else(|| {
             StoreError::Io(std::io::Error::other("no live replica in the cluster"))
@@ -426,9 +438,11 @@ impl FrameLoader {
         FrameLoader::new(store)
     }
 
-    /// Replaces the cache with one of the given capacity (0 disables).
+    /// Replaces the cache with one of the given, fixed capacity (0
+    /// disables).
     pub fn with_cache_capacity(mut self, capacity: usize) -> FrameLoader {
         self.cache = Arc::new(FrameCache::new(capacity));
+        self.cache_follows_days = false;
         self
     }
 
@@ -460,9 +474,15 @@ impl FrameLoader {
     /// Re-lists the store directory, picking up days appended (or
     /// removed) since the loader was opened. Returns true when the day
     /// set changed. The frame cache needs no invalidation — keys carry
-    /// the bytes' digest, so changed days simply miss.
+    /// the bytes' digest, so changed days simply miss — but a default
+    /// capacity grows with the day count: sweeping N+1 days through an
+    /// N-frame LRU evicts every frame just before its next use.
     pub fn rescan(&mut self) -> Result<bool, StoreError> {
-        self.store.rescan()
+        let changed = self.store.rescan()?;
+        if self.cache_follows_days {
+            self.cache.grow_to(self.store.len());
+        }
+        Ok(changed)
     }
 
     /// Decodes `day`'s raw bytes into full-fidelity column views —
@@ -505,45 +525,54 @@ impl FrameLoader {
         Ok(Some(delta))
     }
 
-    /// Loads the frame for `day` through the fast path: raw bytes →
-    /// column views → frame, with a cache lookup keyed by the bytes'
-    /// digest in between. Lossy: corrupt non-spine sections are
-    /// defaulted (use [`FrameLoader::load_with_rows`] to see which).
+    /// Loads the full frame for `day`: raw bytes → cache lookup keyed by
+    /// the bytes' digest → on a miss, column views → frame → cache.
+    /// Lossy: corrupt non-spine sections are defaulted (use
+    /// [`FrameLoader::load_with_rows`] to see which).
     pub fn frame(&self, day: u32) -> Result<Option<Arc<SnapshotFrame>>, StoreError> {
-        self.store
-            .decode_day(day, |bytes| self.frame_from_bytes(day, bytes, None))
+        self.load(day, None)
     }
 
-    /// Cache lookup, then decode + build on a miss. `pred` selects the
-    /// pruned decode and its fingerprint slot of the cache key.
-    fn frame_from_bytes(
+    /// [`FrameLoader::frame`] for a caller that resolved `day`'s digest
+    /// earlier ([`FrameLoader::day_digest`]): a hit is one cache lookup
+    /// and touches no file. A miss — first touch, eviction, or bytes that
+    /// changed since — reads the file and answers from what is on disk
+    /// now, so a stale digest is never wrong, only slower.
+    pub fn frame_at(&self, day: u32, at: u64) -> Result<Option<Arc<SnapshotFrame>>, StoreError> {
+        self.load(day, Some(at))
+    }
+
+    fn load(
         &self,
         day: u32,
-        bytes: &[u8],
-        pred: Option<&Pred>,
-    ) -> Result<Arc<SnapshotFrame>, StoreError> {
-        let key = (day, section_digest(bytes), pred.map_or(0, Pred::fingerprint));
-        if let Some(frame) = self.cache.get(key) {
-            return Ok(frame);
+        pinned: Option<u64>,
+    ) -> Result<Option<Arc<SnapshotFrame>>, StoreError> {
+        if let Some(frame) = pinned.and_then(|digest| self.cache.get((day, digest))) {
+            return Ok(Some(frame));
         }
-        let frame = timed_decode(|| {
-            let cols = match pred {
-                Some(pred) => FrameColumns::decode_pruned(bytes, pred),
-                None => FrameColumns::decode_lossy(bytes),
-            }?;
-            Ok::<_, StoreError>(Arc::new(SnapshotFrame::from_columns(&cols)))
-        })?;
-        self.cache.insert(key, Arc::clone(&frame));
-        Ok(frame)
+        self.store.decode_day(day, |bytes| {
+            let key = (day, section_digest(bytes));
+            // The pinned key has just missed; only another one can hit.
+            if pinned != Some(key.1) {
+                if let Some(frame) = self.cache.get(key) {
+                    return Ok(frame);
+                }
+            }
+            let frame = timed_decode(|| {
+                let cols = FrameColumns::decode_lossy(bytes)?;
+                Ok::<_, StoreError>(Arc::new(SnapshotFrame::from_columns(&cols)))
+            })?;
+            self.cache.insert(key, Arc::clone(&frame));
+            Ok::<_, StoreError>(frame)
+        })
     }
 
     /// Loads the frame for `day` with `pred` pushed down into the
     /// decode: v3 zone maps prune whole zones, the predicate evaluates
     /// on just the columns it references, and only surviving rows are
     /// materialized. The result is a **partial frame** — exactly the
-    /// rows of [`FrameLoader::frame`]'s result that match `pred` — and
-    /// is cached under the predicate's fingerprint so it can never
-    /// satisfy a full-frame (or different-predicate) lookup.
+    /// rows of [`FrameLoader::frame`]'s result that match `pred` — so
+    /// this path neither reads nor fills the cache.
     ///
     /// Returns `Ok(None)` when the day is not in the store *or* when
     /// `pred`'s day range excludes `day` — in the latter case the file
@@ -557,8 +586,12 @@ impl FrameLoader {
             telemetry::global().incr("pushdown.days_skipped", 1);
             return Ok(None);
         }
-        self.store
-            .decode_day(day, |bytes| self.frame_from_bytes(day, bytes, Some(pred)))
+        self.store.decode_day(day, |bytes| {
+            timed_decode(|| {
+                let cols = FrameColumns::decode_pruned(bytes, pred)?;
+                Ok::<_, StoreError>(Arc::new(SnapshotFrame::from_columns(&cols)))
+            })
+        })
     }
 
     /// Runs `load` over `days` in batches of [`FrameLoader::with_batch`]
@@ -613,7 +646,8 @@ impl FrameLoader {
     /// budget as [`FrameLoader::frames`], with `pred` pushed down the
     /// whole way: days outside the predicate's day range are dropped
     /// without opening their files (`pushdown.days_skipped`), and the
-    /// rest decode through the zone-map-pruning path. The returned
+    /// rest decode through the zone-map-pruning path, uncached like
+    /// [`FrameLoader::frame_pruned`]. The returned
     /// frames are the surviving days in input order, each holding only
     /// the rows matching `pred`. A requested day that is missing from
     /// the store is an error, matching [`FrameLoader::frames`].
@@ -657,7 +691,7 @@ impl FrameLoader {
     }
 
     fn loaded_from_bytes(&self, day: u32, bytes: &[u8]) -> Result<LoadedDay, StoreError> {
-        let key = (day, section_digest(bytes), 0);
+        let key = (day, section_digest(bytes));
         let cols = timed_decode(|| FrameColumns::decode_lossy_with_rows(bytes))?;
         let lost_sections = cols.lost_sections().to_vec();
         let (frame, from_cache) = match self.cache.get(key) {
@@ -803,13 +837,13 @@ mod tests {
     fn lru_evicts_oldest() {
         let cache = FrameCache::new(2);
         let f = Arc::new(SnapshotFrame::build(&snap(0, 1)));
-        cache.insert((0, 0, 0), Arc::clone(&f));
-        cache.insert((1, 0, 0), Arc::clone(&f));
-        assert!(cache.get((0, 0, 0)).is_some()); // 0 is now most recent
-        cache.insert((2, 0, 0), Arc::clone(&f)); // evicts 1
-        assert!(cache.get((1, 0, 0)).is_none());
-        assert!(cache.get((0, 0, 0)).is_some());
-        assert!(cache.get((2, 0, 0)).is_some());
+        cache.insert((0, 0), Arc::clone(&f));
+        cache.insert((1, 0), Arc::clone(&f));
+        assert!(cache.get((0, 0)).is_some()); // 0 is now most recent
+        cache.insert((2, 0), Arc::clone(&f)); // evicts 1
+        assert!(cache.get((1, 0)).is_none());
+        assert!(cache.get((0, 0)).is_some());
+        assert!(cache.get((2, 0)).is_some());
         assert_eq!(cache.len(), 2);
         let (hits, misses, evictions) = cache.stats();
         assert_eq!((hits, misses, evictions), (3, 1, 1));
@@ -825,20 +859,20 @@ mod tests {
         cache.set_tenant_budget(2, 2);
         {
             let _t = FrameCache::attribute(1);
-            cache.insert((10, 0, 0), Arc::clone(&f));
-            cache.insert((11, 0, 0), Arc::clone(&f)); // tenant 1 now over budget
+            cache.insert((10, 0), Arc::clone(&f));
+            cache.insert((11, 0), Arc::clone(&f)); // tenant 1 now over budget
         }
         {
             let _t = FrameCache::attribute(2);
-            cache.insert((20, 0, 0), Arc::clone(&f));
+            cache.insert((20, 0), Arc::clone(&f));
             // Full. This insert must evict tenant 1's LRU entry (10),
             // not tenant 2's own — tenant 1 is the one over budget.
-            cache.insert((21, 0, 0), Arc::clone(&f));
+            cache.insert((21, 0), Arc::clone(&f));
         }
-        assert!(cache.get((10, 0, 0)).is_none(), "over-budget LRU evicted");
-        assert!(cache.get((11, 0, 0)).is_some());
-        assert!(cache.get((20, 0, 0)).is_some());
-        assert!(cache.get((21, 0, 0)).is_some());
+        assert!(cache.get((10, 0)).is_none(), "over-budget LRU evicted");
+        assert!(cache.get((11, 0)).is_some());
+        assert!(cache.get((20, 0)).is_some());
+        assert!(cache.get((21, 0)).is_some());
         assert_eq!(cache.fairness_violations(), 0);
         let stats: FxHashMap<_, _> = cache.tenant_stats().into_iter().collect();
         assert_eq!(stats[&1].resident, 1);
@@ -857,18 +891,18 @@ mod tests {
         cache.set_tenant_budget(2, 1);
         {
             let _t = FrameCache::attribute(2);
-            cache.insert((200, 0, 0), Arc::clone(&f));
+            cache.insert((200, 0), Arc::clone(&f));
         }
         {
             let _t = FrameCache::attribute(1);
             for day in 0..50 {
-                cache.insert((day, 0, 0), Arc::clone(&f));
+                cache.insert((day, 0), Arc::clone(&f));
             }
         }
         {
             let _t = FrameCache::attribute(2);
             assert!(
-                cache.get((200, 0, 0)).is_some(),
+                cache.get((200, 0)).is_some(),
                 "tenant 2's hot frame must survive tenant 1's cold sweep"
             );
         }
@@ -986,40 +1020,58 @@ mod tests {
         let frames = loader.frames_pruned(&[0, 7, 14], &pred).unwrap();
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].day(), 7);
-        // Days 0 and 14 never reached the cache (no miss recorded).
-        let (_, misses, _) = loader.cache().stats();
-        assert_eq!(misses, 1);
         assert!(loader.frame_pruned(0, &pred).unwrap().is_none());
+        // The pruned path is the non-caching one: day 7's partial frame
+        // was neither looked up nor kept.
+        assert_eq!(loader.cache().stats(), (0, 0, 0));
+        assert!(loader.cache().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn partial_frames_never_alias_full_frames_in_cache() {
-        // The aliasing hazard: a pruned (partial) frame cached under the
-        // same key as the full frame would silently shrink later
-        // full-frame loads. Keys carry the predicate fingerprint, so the
-        // three loads below are three distinct entries.
-        let (dir, store) = store_with_days("alias", &[0]);
-        let loader = FrameLoader::new(&store).unwrap().with_cache_capacity(8);
-        let pred_a = Pred::uid(100..=100);
-        let pred_b = Pred::uid(100..=101);
-        let partial_a = loader.frame_pruned(0, &pred_a).unwrap().unwrap();
-        let full = loader.frame(0).unwrap().unwrap();
-        let partial_b = loader.frame_pruned(0, &pred_b).unwrap().unwrap();
-        assert!(partial_a.len() < full.len());
-        assert!(partial_b.len() < full.len());
-        assert_ne!(partial_a.len(), partial_b.len());
-        // Re-loads hit their own entries and return the same allocations.
-        assert!(Arc::ptr_eq(&full, &loader.frame(0).unwrap().unwrap()));
+    fn frame_at_hits_without_the_file_and_survives_a_stale_digest() {
+        let (dir, store) = store_with_days("pinned", &[0]);
+        let loader = FrameLoader::new(&store).unwrap();
+        let digest = loader.day_digest(0).unwrap().unwrap();
+        let first = loader.frame_at(0, digest).unwrap().unwrap();
+        assert_eq!(loader.cache().stats(), (0, 1, 0), "first touch: one miss");
+        // Resident: the hit path does not need the file at all.
+        let path = dir.join("snap-00000.colf");
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
         assert!(Arc::ptr_eq(
-            &partial_a,
-            &loader.frame_pruned(0, &pred_a).unwrap().unwrap()
+            &first,
+            &loader.frame_at(0, digest).unwrap().unwrap()
         ));
-        assert!(Arc::ptr_eq(
-            &partial_b,
-            &loader.frame_pruned(0, &pred_b).unwrap().unwrap()
-        ));
-        assert_eq!(loader.cache().len(), 3);
+        // A digest that no longer describes the bytes on disk answers
+        // from the bytes on disk.
+        std::fs::write(&path, &bytes).unwrap();
+        let stale = loader.frame_at(0, digest ^ 1).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&first, &stale));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn default_capacity_follows_the_day_count_across_rescan() {
+        let (dir, mut store) = store_with_days("grow", &[0, 7]);
+        let mut loader = FrameLoader::new(&store).unwrap();
+        assert_eq!(loader.cache().capacity(), 2);
+        store.put(&snap(14, 50)).unwrap();
+        assert!(loader.rescan().unwrap());
+        assert_eq!(loader.cache().capacity(), 3);
+        let days = loader.days().to_vec();
+        loader.frames(&days).unwrap();
+        loader.frames(&days).unwrap();
+        assert_eq!(
+            loader.cache().stats(),
+            (3, 3, 0),
+            "second whole-store pass must hit every day"
+        );
+        // An explicit capacity stays where it was put.
+        let mut pinned = FrameLoader::new(&store).unwrap().with_cache_capacity(2);
+        store.put(&snap(21, 50)).unwrap();
+        assert!(pinned.rescan().unwrap());
+        assert_eq!(pinned.cache().capacity(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -43,10 +43,18 @@
 //! Filters come in two forms that compose freely: opaque closures
 //! ([`Scan::filter`], the escape hatch — anything goes, nothing can be
 //! pushed) and typed [`Pred`] trees ([`Scan::filter_pred`]), which are
-//! inspectable and therefore *pushable* — hand the same predicate to
-//! [`crate::FrameLoader::frames_pruned`] and day-level pruning plus colf
-//! v3 zone-map pruning happen before the frame is even built, while the
-//! compiled [`FramePred`] keeps per-frame evaluation exact.
+//! inspectable and therefore *pushable* — a cold one-shot question hands
+//! the same predicate to [`crate::FrameLoader::frames_pruned`] and
+//! day-level pruning plus colf v3 zone-map pruning happen before the
+//! frame is even built, while the compiled [`FramePred`] keeps per-frame
+//! evaluation exact.
+//!
+//! A compiled [`FramePred`] evaluates two ways: row-at-a-time through
+//! [`RowPred::test`] (what `Scan` fuses into its morsel loop, and the
+//! oracle), and column-at-a-time through [`FramePred::select`], which
+//! turns each leaf into one pass over a flat column and combines the
+//! leaves' [`Selection`] bitmaps word-wise — the kernel `spider-serve`
+//! runs over its resident full frames.
 //!
 //! The accounts-database join of §4.1.1 is the [`crate::AnalysisContext`]
 //! passed into key functions.
@@ -179,7 +187,7 @@ impl<P: RowPred> RowPred for Counted<P> {
 /// because the source predicate is inspectable, callers that load
 /// through [`crate::FrameLoader::frame_pruned`] can hand the *same*
 /// `Pred` to the loader and have whole zones and days skipped before
-/// this per-row form ever runs.
+/// this per-frame form ever runs.
 #[derive(Debug, Clone)]
 pub enum FramePred {
     /// Fully decided at compile time (e.g. a day range vs. this frame's
@@ -239,6 +247,123 @@ impl FramePred {
                 FramePred::Or(ps.iter().map(|p| FramePred::compile(p, frame)).collect())
             }
         }
+    }
+
+    /// Evaluates the predicate over the whole frame, column-at-a-time:
+    /// every leaf is one branch-free range compare down a flat
+    /// `u32`/`u64`/`u16` column, and `And`/`Or` combine their children's
+    /// bitmaps a word (64 rows) at a time. Bit `i` of the result equals
+    /// [`RowPred::test`]`(frame, i)` — the row form is this kernel's
+    /// oracle (`pushdown_equivalence`, `prop_pushdown`).
+    pub fn select(&self, frame: &SnapshotFrame) -> Selection {
+        match self {
+            FramePred::Const(b) => Selection::filled(frame.len(), *b),
+            FramePred::Uid(lo, hi) => Selection::of(&frame.uid, |v| (*lo..=*hi).contains(&v)),
+            FramePred::Gid(lo, hi) => Selection::of(&frame.gid, |v| (*lo..=*hi).contains(&v)),
+            FramePred::Depth(lo, hi) => {
+                Selection::of(&frame.depth, |v| (*lo..=*hi).contains(&(v as u32)))
+            }
+            FramePred::Stripes(lo, hi) => {
+                Selection::of(&frame.stripe_count, |v| (*lo..=*hi).contains(&(v as u32)))
+            }
+            FramePred::Mtime(lo, hi) => Selection::of(&frame.mtime, |v| (*lo..=*hi).contains(&v)),
+            FramePred::Atime(lo, hi) => Selection::of(&frame.atime, |v| (*lo..=*hi).contains(&v)),
+            FramePred::ExtIn(ids) => Selection::of(&frame.ext, |v| ids.contains(&v)),
+            FramePred::ExtNone => Selection::of(&frame.ext, |v| v == crate::frame::EXT_NONE),
+            FramePred::And(ps) => Self::combine(ps, frame, true, |a, c| *a &= c),
+            FramePred::Or(ps) => Self::combine(ps, frame, false, |a, c| *a |= c),
+        }
+    }
+
+    /// Word-wise `op` of the children's selections; `empty` is what a
+    /// childless node selects.
+    fn combine(
+        children: &[FramePred],
+        frame: &SnapshotFrame,
+        empty: bool,
+        op: impl Fn(&mut u64, u64),
+    ) -> Selection {
+        let mut selections = children.iter().map(|p| p.select(frame));
+        let Some(mut acc) = selections.next() else {
+            return Selection::filled(frame.len(), empty);
+        };
+        for child in selections {
+            acc.words
+                .iter_mut()
+                .zip(&child.words)
+                .for_each(|(a, &c)| op(a, c));
+        }
+        acc
+    }
+}
+
+/// Which rows of one frame a [`FramePred`] selected: bit `i % 64` of
+/// word `i / 64` is row `i`. Bits at and beyond the frame's length are
+/// always zero, so word-wise combination and popcounts need no tail
+/// handling.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Selection {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl Selection {
+    fn filled(len: usize, value: bool) -> Selection {
+        let mut words = vec![if value { u64::MAX } else { 0 }; len.div_ceil(64)];
+        if value && len % 64 != 0 {
+            *words.last_mut().expect("len > 0") = (1u64 << (len % 64)) - 1;
+        }
+        Selection { words, len }
+    }
+
+    fn of<T: Copy>(column: &[T], keep: impl Fn(T) -> bool) -> Selection {
+        let words = column
+            .chunks(64)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |word, (bit, &v)| word | (keep(v) as u64) << bit)
+            })
+            .collect();
+        Selection {
+            words,
+            len: column.len(),
+        }
+    }
+
+    /// Rows in the frame the selection was taken over.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the frame had no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of selected rows.
+    pub fn count(&self) -> u64 {
+        self.words.iter().map(|w| w.count_ones() as u64).sum()
+    }
+
+    /// Whether row `i` is selected.
+    pub fn contains(&self, i: usize) -> bool {
+        i < self.len && self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// The selected row indices, ascending.
+    pub fn rows(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + bit
+                })
+            })
+        })
     }
 }
 

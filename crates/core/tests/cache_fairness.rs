@@ -82,7 +82,7 @@ fn concurrent_multi_tenant_accounting_reconciles() {
                             let draw = splitmix(&mut rng);
                             let tenant = (draw % 4 + 1) as u32;
                             let key_day = (draw >> 8) as u32 % KEYS;
-                            let key = (key_day, 0u64, 0u64);
+                            let key = (key_day, 0u64);
                             let _attr = FrameCache::attribute(tenant);
                             gets += 1;
                             if cache.get(key).is_none() {
@@ -167,7 +167,7 @@ fn hot_singleton_survives_concurrent_cold_sweep() {
         cache.set_tenant_budget(1, 2); // the sweeper
         cache.set_tenant_budget(2, 1); // the pinned singleton
         let hot = tiny_frame(100_000);
-        let hot_key = (100_000u32, 0u64, 0u64);
+        let hot_key = (100_000u32, 0u64);
 
         std::thread::scope(|scope| {
             let sweeper = {
@@ -177,7 +177,7 @@ fn hot_singleton_survives_concurrent_cold_sweep() {
                     let mut rng = seed;
                     for i in 0..SWEEP {
                         let day = (splitmix(&mut rng) % 10_000) as u32 + i;
-                        let key = (day, 1, 0);
+                        let key = (day, 1);
                         if cache.get(key).is_none() {
                             cache.insert(key, tiny_frame(day));
                         }
@@ -235,9 +235,9 @@ fn clear_resets_accounting_but_keeps_budgets() {
     cache.set_tenant_budget(7, 1);
     {
         let _attr = FrameCache::attribute(7);
-        cache.insert((1, 0, 0), tiny_frame(1));
-        cache.insert((2, 0, 0), tiny_frame(2));
-        cache.insert((3, 0, 0), tiny_frame(3));
+        cache.insert((1, 0), tiny_frame(1));
+        cache.insert((2, 0), tiny_frame(2));
+        cache.insert((3, 0), tiny_frame(3));
     }
     assert!(cache.inserts() > 0);
     cache.clear();
@@ -248,12 +248,12 @@ fn clear_resets_accounting_but_keeps_budgets() {
     // The budget persists: tenant 7 over-budget entries evict first.
     {
         let _attr = FrameCache::attribute(7);
-        cache.insert((4, 0, 0), tiny_frame(4));
-        cache.insert((5, 0, 0), tiny_frame(5));
+        cache.insert((4, 0), tiny_frame(4));
+        cache.insert((5, 0), tiny_frame(5));
     }
     let _attr = FrameCache::attribute(8);
-    cache.insert((6, 0, 0), tiny_frame(6));
-    let survivors: Vec<u32> = [(4u32, 0u64, 0u64), (5, 0, 0), (6, 0, 0)]
+    cache.insert((6, 0), tiny_frame(6));
+    let survivors: Vec<u32> = [(4u32, 0u64), (5, 0), (6, 0)]
         .into_iter()
         .filter(|&k| cache.get(k).is_some())
         .map(|k| k.0)
@@ -284,8 +284,8 @@ fn flight_recorder_dumps_on_fairness_violation() {
     // Ordinary traffic first, so the ring has moments to freeze.
     {
         let _attr = FrameCache::attribute(3);
-        cache.insert((1, 0, 0), tiny_frame(1));
-        let _ = cache.get((1, 0, 0));
+        cache.insert((1, 0), tiny_frame(1));
+        let _ = cache.get((1, 0));
     }
     cache.record_fairness_violation("tenant 3 evicted to zero residents within budget");
     tel.clear_sink();

@@ -1,12 +1,14 @@
 //! Property-based pushdown equivalence: for arbitrary snapshots and
 //! arbitrary `Pred` trees, `FrameColumns::decode_pruned` returns exactly
 //! the rows `decode_lossy` + `pred_matches` keeps — at any zone size,
-//! and with the zone map (or any other single section) corrupted.
+//! and with the zone map (or any other single section) corrupted — and
+//! `FramePred::select` marks exactly the rows `RowPred::test` accepts.
 //! The deterministic twin the offline harness can run lives in
 //! `tests/pushdown_equivalence.rs`.
 
 use proptest::prelude::*;
-use spider_core::{Scan, SnapshotFrame};
+use spider_core::query::RowPred;
+use spider_core::{FramePred, Scan, SnapshotFrame};
 use spider_snapshot::colf::{self, section_table};
 use spider_snapshot::columns::FrameColumns;
 use spider_snapshot::{Pred, Snapshot, SnapshotRecord};
@@ -139,6 +141,18 @@ proptest! {
             .filter(|r| pred.matches_record(r, snap.day()))
             .count() as u64;
         prop_assert_eq!(scanned, oracle);
+    }
+
+    #[test]
+    fn select_equals_row_test(snap in snapshot_strategy(), pred in pred_strategy()) {
+        let frame = SnapshotFrame::build(&snap);
+        let compiled = FramePred::compile(&pred, &frame);
+        let selected = compiled.select(&frame);
+        let want: Vec<usize> = (0..frame.len())
+            .filter(|&i| compiled.test(&frame, i))
+            .collect();
+        prop_assert_eq!(selected.rows().collect::<Vec<_>>(), want.clone());
+        prop_assert_eq!(selected.count(), want.len() as u64);
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //! (`FrameLoader::frames_pruned` / `FrameColumns::decode_pruned`) must
 //! return exactly the rows a full load plus `Scan::filter_pred` keeps —
 //! across multi-day stores, multi-zone files, and zone-map corruption.
-//! Runs without proptest so the offline harness can execute it;
-//! `tests/prop_pushdown.rs` adds the randomized twin.
+//! The column-at-a-time `FramePred::select` is held to its row-wise
+//! oracle `RowPred::test` here too. Runs without proptest so the offline
+//! harness can execute it; `tests/prop_pushdown.rs` adds the randomized
+//! twin.
 
-use spider_core::{FrameLoader, Pred, Scan, SnapshotFrame};
+use spider_core::query::RowPred;
+use spider_core::{FrameLoader, FramePred, Pred, Scan, SnapshotFrame};
 use spider_snapshot::colf::{self, section_table};
 use spider_snapshot::columns::FrameColumns;
 use spider_snapshot::{Snapshot, SnapshotRecord, SnapshotStore};
@@ -83,8 +86,7 @@ fn store_with_days(tag: &str, days: &[u32]) -> (std::path::PathBuf, SnapshotStor
 
 /// Row-for-row: `pruned` must be the matching subsequence of `full`.
 fn assert_is_filtered_subsequence(pruned: &SnapshotFrame, full: &SnapshotFrame, pred: &Pred) {
-    let compiled = spider_core::FramePred::compile(pred, full);
-    use spider_core::query::RowPred;
+    let compiled = FramePred::compile(pred, full);
     let survivors: Vec<usize> = (0..full.len())
         .filter(|&i| compiled.test(full, i))
         .collect();
@@ -123,6 +125,51 @@ fn pruned_store_loads_equal_full_loads_filtered() {
         assert_eq!(at, pruned.len(), "{pred:?}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn select_equals_row_test_across_word_boundaries() {
+    // Every leaf kind (`sample_preds` plus the atime leaf), both
+    // constants (a day range folds against the frame's day 3), an
+    // extension set that resolves to nothing, and a nested tree — over
+    // frame lengths on each side of the bitmap's 64-row words.
+    let mut preds = sample_preds();
+    preds.extend([
+        Pred::atime(1_420_000_000 + 3 * 86_400 + 600..),
+        Pred::day(3..=3),
+        Pred::day(4..),
+        Pred::ext_in(Vec::<String>::new()),
+        Pred::ext_in(["nope", "nada"]),
+        Pred::or(vec![
+            Pred::and(vec![
+                Pred::uid(10_005..),
+                Pred::or(vec![Pred::depth(6..), Pred::ext_none(), Pred::day(9..)]),
+            ]),
+            Pred::and(vec![Pred::stripes(..=1), Pred::gid(7_002..=7_003)]),
+        ]),
+    ]);
+    for n in [0usize, 1, 63, 64, 65, 4097] {
+        let frame = SnapshotFrame::build(&sample(3, n));
+        for pred in &preds {
+            let compiled = FramePred::compile(pred, &frame);
+            let selected = compiled.select(&frame);
+            let want: Vec<usize> = (0..n).filter(|&i| compiled.test(&frame, i)).collect();
+            assert_eq!(selected.len(), n, "{pred:?}");
+            assert_eq!(
+                selected.rows().collect::<Vec<_>>(),
+                want,
+                "{pred:?} over {n} rows"
+            );
+            assert_eq!(
+                selected.count(),
+                want.len() as u64,
+                "{pred:?} over {n} rows"
+            );
+            for i in [0, n / 2, n.saturating_sub(1), n, n + 64] {
+                assert_eq!(selected.contains(i), want.contains(&i), "{pred:?} row {i}");
+            }
+        }
+    }
 }
 
 #[test]

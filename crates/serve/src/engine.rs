@@ -2,36 +2,46 @@
 //!
 //! The engine opens the store leniently, scrubs it (quarantining
 //! undecodable days, recording lost sections and nearest-day
-//! substitutions), and then serves aggregate queries day-by-day
-//! through the shared [`FrameLoader`] — predicate pushdown prunes
-//! whole days and colf zones before any column bytes decode, and the
-//! fairness-aware [`FrameCache`] keeps each tenant's hot days
-//! resident under pressure.
+//! substitutions), and then answers aggregate queries from **resident
+//! full frames**: one decoded [`SnapshotFrame`] per `(day, digest)` in
+//! the shared, fairness-aware [`FrameCache`], decoded on first touch and
+//! used by every query shape and tenant. The query moves to the data:
+//! per day its predicate compiles ([`FramePred::compile`]), evaluates
+//! column-at-a-time into a bitmap ([`FramePred::select`]), and the
+//! aggregate folds over the selected rows with integer group keys;
+//! strings appear only when the answer is rendered.
+//!
+//! [`QueryEngine::refresh`] (and `open`) is the one freshness point: it
+//! re-lists the store, digests every day's bytes and pins the
+//! `(day, digest)` pairs. Between refreshes a query finds its frames by
+//! pinned key without touching a file; a file changed behind the
+//! engine's back misses and is answered from the bytes on disk — never
+//! wrong, only slower.
 //!
 //! Every answer is rendered to a canonical JSON string and remembered
 //! in a small LRU response cache keyed by the query's answer
-//! fingerprint **and the store epoch** — a digest of the day set the
-//! answer was computed over. [`QueryEngine::refresh`] re-lists the
-//! store; if days appeared or vanished the epoch moves and every
-//! stale answer misses by construction (an answer computed over
-//! yesterday's day set can never be replayed against today's store).
-//! The server's shed path serves cached bytes verbatim, which is what
-//! makes `shed` responses byte-identical to the `ok` responses they
-//! were cached from.
+//! fingerprint **and the store epoch** — a digest of the pinned
+//! `(day, digest)` pairs. When a refresh finds days added, removed or
+//! rewritten in place the epoch moves and every stale answer misses by
+//! construction (an answer computed over yesterday's bytes can never be
+//! replayed against today's store). The server's shed path serves cached
+//! bytes verbatim, which is what makes `shed` responses byte-identical
+//! to the `ok` responses they were cached from.
 //!
 //! Alongside the rendered answers the engine keeps **hot accumulator
 //! states** per query fingerprint: the mergeable [`AccState`] each
 //! answer was rendered from. When `refresh` finds newly appended days,
 //! it folds just those days into each matching hot state and re-renders
 //! under the new epoch — appending one day updates every cached answer
-//! in O(new day), not O(whole window). Removed days cannot be
-//! retracted from a count-style state, so any hot state whose window
-//! covered a vanished day is dropped, never silently reused.
+//! in O(new day), not O(whole window). Removed or rewritten days cannot
+//! be retracted from a count-style state, so any hot state whose window
+//! covered one is dropped, never silently reused.
 
 use crate::proto::{AggSpec, GroupBy, Query};
 use rustc_hash::FxHashMap;
-use spider_core::query::{FramePred, RowPred};
-use spider_core::{FrameCache, FrameLoader, TenantId};
+use spider_core::frame::EXT_NONE;
+use spider_core::query::{FramePred, Selection};
+use spider_core::{FrameCache, FrameLoader, SnapshotFrame, TenantId};
 use spider_snapshot::store::StoreError;
 use spider_snapshot::{OsIo, Pred, RetryPolicy, SnapshotStore, StoreHealth};
 use spider_telemetry as telemetry;
@@ -44,7 +54,8 @@ use std::time::Instant;
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Frame-cache capacity in frames (0 = loader default).
+    /// Frame-cache capacity in full frames, ≈41 B per row each (0 = the
+    /// loader default: one per stored day, following the store).
     pub cache_frames: usize,
     /// Response-cache capacity in answers.
     pub response_cache: usize,
@@ -90,9 +101,9 @@ pub struct ExecResult {
     pub rows: u64,
     /// Day-window matching + row-predicate compilation.
     pub prune_ns: u64,
-    /// Frame load/decode, zone pruning included (misses pay here).
+    /// Frame lookup; a miss pays its full decode here.
     pub decode_ns: u64,
-    /// The row fold over surviving frames.
+    /// Predicate selection plus the fold over the selected rows.
     pub fold_ns: u64,
 }
 
@@ -111,9 +122,12 @@ pub struct RefreshStats {
     pub added: Vec<u32>,
     /// Days that vanished since the last (re)scan.
     pub removed: Vec<u32>,
+    /// Days whose bytes changed in place since the last (re)scan.
+    pub rewritten: Vec<u32>,
     /// Hot states advanced in O(new days) and re-cached.
     pub hot_updated: u64,
-    /// Hot states dropped (their window covered a vanished day).
+    /// Hot states dropped (their window covered a vanished or
+    /// rewritten day).
     pub hot_dropped: u64,
     /// The epoch after the pass.
     pub epoch: u64,
@@ -163,8 +177,21 @@ struct HotState {
     used: u64,
 }
 
-/// Digest of a day set — the response-cache epoch component.
-fn epoch_of(days: &[u32]) -> u64 {
+/// A scannable day pinned to the digest of its bytes as of the last
+/// `open`/`refresh`: the key its resident frame is found under.
+type PinnedDay = (u32, u64);
+
+/// Digests every day the loader lists.
+fn pin_days(loader: &FrameLoader) -> Result<Vec<PinnedDay>, StoreError> {
+    let pin = |&day: &u32| {
+        let digest = loader.day_digest(day)?;
+        Ok((day, digest.expect("the loader lists only indexed days")))
+    };
+    loader.days().iter().map(pin).collect()
+}
+
+/// Digest of the pinned days — the response-cache epoch component.
+fn epoch_of(days: &[PinnedDay]) -> u64 {
     let mut h = rustc_hash::FxHasher::default();
     days.hash(&mut h);
     h.finish()
@@ -177,7 +204,7 @@ pub struct QueryEngine {
     loader: RwLock<FrameLoader>,
     cache: Arc<FrameCache>,
     health: StoreHealth,
-    days: RwLock<Vec<u32>>,
+    days: RwLock<Vec<PinnedDay>>,
     epoch: AtomicU64,
     responses: Mutex<RespCache>,
     hot: Mutex<FxHashMap<u64, HotState>>,
@@ -206,7 +233,7 @@ impl QueryEngine {
             loader = loader.with_cache_capacity(config.cache_frames);
         }
         let cache = loader.cache_handle();
-        let days = loader.days().to_vec();
+        let days = pin_days(&loader)?;
         let epoch = epoch_of(&days);
         Ok(QueryEngine {
             loader: RwLock::new(loader),
@@ -232,12 +259,12 @@ impl QueryEngine {
 
     /// Days the engine can scan (quarantined days are gone).
     pub fn days(&self) -> Vec<u32> {
-        self.days.read().unwrap().clone()
+        self.days.read().unwrap().iter().map(|p| p.0).collect()
     }
 
-    /// The current store epoch: a digest of the scannable day set.
-    /// Response-cache keys carry it, so any day-set change invalidates
-    /// every cached answer at once.
+    /// The current store epoch: a digest of the scannable days and their
+    /// bytes as of the last refresh. Response-cache keys carry it, so any
+    /// change to the store invalidates every cached answer at once.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
@@ -254,13 +281,13 @@ impl QueryEngine {
             .read()
             .unwrap()
             .iter()
-            .filter(|&&d| pred.matches_day(d))
+            .filter(|p| pred.matches_day(p.0))
             .count() as u64
     }
 
     /// A cached answer for this fingerprint *at the current epoch*, if
-    /// one exists. Answers computed over a different day set live under
-    /// a different epoch and can never be returned here.
+    /// one exists. Answers computed over different days or bytes live
+    /// under a different epoch and can never be returned here.
     pub fn cached(&self, fingerprint: u64) -> Option<CachedAnswer> {
         let key = (fingerprint, self.epoch());
         self.responses.lock().unwrap().get(key)
@@ -286,14 +313,14 @@ impl QueryEngine {
         };
         {
             let loader = self.loader.read().unwrap();
-            for &day in &days {
+            for &pinned in &days {
                 let pruning = Instant::now();
-                let keep = pred.matches_day(day);
+                let keep = pred.matches_day(pinned.0);
                 stages.prune += pruning.elapsed().as_nanos() as u64;
                 if !keep {
                     continue;
                 }
-                if Self::fold_day(&loader, day, &pred, &mut acc, &mut stages)? {
+                if Self::fold_day(&loader, pinned, &pred, &mut acc, &mut stages)? {
                     days_scanned += 1;
                 }
             }
@@ -322,33 +349,29 @@ impl QueryEngine {
         })
     }
 
-    /// Zone-pruned fold of one day into an accumulator. Returns whether
-    /// the day was actually scanned (vs pruned away). Stage wall time
-    /// accrues into `stages`: the frame load (zone pruning included) as
-    /// decode, the row-predicate compile as prune, the row loop as fold.
+    /// Folds one day's resident frame into an accumulator. Returns
+    /// whether the day was scanned (false only if it left the store).
+    /// Stage wall time accrues into `stages`: the frame lookup (a miss
+    /// decodes the whole day) as decode, the predicate compile as prune,
+    /// selection and fold as fold.
     fn fold_day(
         loader: &FrameLoader,
-        day: u32,
+        (day, digest): PinnedDay,
         pred: &Pred,
         acc: &mut AccState,
         stages: &mut StageNs,
     ) -> Result<bool, StoreError> {
         let loading = Instant::now();
-        let frame = loader.frame_pruned(day, pred)?;
+        let frame = loader.frame_at(day, digest)?;
         stages.decode += loading.elapsed().as_nanos() as u64;
         let Some(frame) = frame else {
             return Ok(false);
         };
-        // Zone pruning is conservative; re-test rows exactly.
         let compiling = Instant::now();
-        let row_pred = FramePred::compile(pred, &frame);
+        let frame_pred = FramePred::compile(pred, &frame);
         stages.prune += compiling.elapsed().as_nanos() as u64;
         let folding = Instant::now();
-        for i in 0..frame.len() {
-            if row_pred.test(&frame, i) {
-                acc.row(&frame, i);
-            }
-        }
+        acc.fold(&frame, &frame_pred.select(&frame));
         stages.fold += folding.elapsed().as_nanos() as u64;
         Ok(true)
     }
@@ -380,18 +403,18 @@ impl QueryEngine {
         );
     }
 
-    /// Re-lists the store directory and reconciles the engine with what
-    /// it finds. When the day set changed the epoch moves (cold cached
-    /// answers become unreachable), newly appended days are folded into
-    /// every matching hot accumulator state — O(new days) per answer —
-    /// and the refreshed answers are cached under the new epoch. Hot
-    /// states whose window covered a *vanished* day cannot retract it
-    /// and are dropped instead.
+    /// Re-lists the store directory, re-digests every day and reconciles
+    /// the engine with what it finds. When anything changed the epoch
+    /// moves (cold cached answers become unreachable), newly appended
+    /// days are folded into every matching hot accumulator state —
+    /// O(new days) per answer — and the refreshed answers are cached
+    /// under the new epoch. Hot states whose window covered a *vanished*
+    /// or *rewritten* day cannot retract it and are dropped instead.
     pub fn refresh(&self) -> Result<RefreshStats, StoreError> {
         let tel = telemetry::global();
         let mut loader = self.loader.write().unwrap();
         loader.rescan()?;
-        let new_days = loader.days().to_vec();
+        let new_days = pin_days(&loader)?;
         let old_days = self.days.read().unwrap().clone();
         if new_days == old_days {
             return Ok(RefreshStats {
@@ -399,24 +422,36 @@ impl QueryEngine {
                 ..RefreshStats::default()
             });
         }
-        let added: Vec<u32> = new_days
-            .iter()
-            .copied()
-            .filter(|d| !old_days.contains(d))
-            .collect();
+        let digest_in = |days: &[PinnedDay], day: u32| {
+            let at = days.binary_search_by_key(&day, |p| p.0).ok()?;
+            Some(days[at].1)
+        };
+        let (mut added, mut rewritten) = (Vec::new(), Vec::new());
+        for &(day, digest) in &new_days {
+            match digest_in(&old_days, day) {
+                None => added.push((day, digest)),
+                Some(old) if old != digest => rewritten.push(day),
+                Some(_) => {}
+            }
+        }
         let removed: Vec<u32> = old_days
             .iter()
-            .copied()
-            .filter(|d| !new_days.contains(d))
+            .map(|p| p.0)
+            .filter(|&day| digest_in(&new_days, day).is_none())
             .collect();
         let epoch = epoch_of(&new_days);
-        *self.days.write().unwrap() = new_days;
-        self.epoch.store(epoch, Ordering::Release);
+        {
+            // Both under the days lock, which `execute` reads them under.
+            let mut days = self.days.write().unwrap();
+            *days = new_days;
+            self.epoch.store(epoch, Ordering::Release);
+        }
         tel.incr("serve.refreshes", 1);
 
         let mut stats = RefreshStats {
-            added: added.clone(),
-            removed: removed.clone(),
+            added: added.iter().map(|p| p.0).collect(),
+            removed,
+            rewritten,
             epoch,
             ..RefreshStats::default()
         };
@@ -425,7 +460,9 @@ impl QueryEngine {
         for fingerprint in fingerprints {
             let state = hot.get_mut(&fingerprint).expect("key just listed");
             let pred = state.query.effective_pred();
-            if removed.iter().any(|&d| pred.matches_day(d)) {
+            // A count-style state cannot take a day back out.
+            let mut retired = stats.removed.iter().chain(&stats.rewritten);
+            if retired.any(|&d| pred.matches_day(d)) {
                 hot.remove(&fingerprint);
                 stats.hot_dropped += 1;
                 tel.incr("serve.hot_drops", 1);
@@ -433,8 +470,8 @@ impl QueryEngine {
             }
             let mut touched = false;
             let mut scratch = StageNs::default();
-            for &day in added.iter().filter(|&&d| pred.matches_day(d)) {
-                if Self::fold_day(&loader, day, &pred, &mut state.acc, &mut scratch)? {
+            for &pinned in added.iter().filter(|p| pred.matches_day(p.0)) {
+                if Self::fold_day(&loader, pinned, &pred, &mut state.acc, &mut scratch)? {
                     state.days_scanned += 1;
                 }
                 touched = true;
@@ -493,16 +530,20 @@ impl QueryEngine {
     }
 }
 
-/// Streaming accumulator for one aggregate spec. Owns its spec so it
+/// Mergeable accumulator for one aggregate spec. Owns its spec so it
 /// can live beyond the execution that created it (hot refresh folds
-/// newly appended days into the same state later).
+/// newly appended days into the same state later). Group keys stay
+/// integers until [`AccState::render`].
 struct AccState {
     agg: AggSpec,
     rows: u64,
     files: u64,
     dirs: u64,
     stripes: u64,
-    groups: FxHashMap<String, u64>,
+    /// uid or gid groups.
+    ids: FxHashMap<u32, u64>,
+    /// Extension groups, by name: interned ids are per frame.
+    names: FxHashMap<String, u64>,
 }
 
 impl AccState {
@@ -513,34 +554,49 @@ impl AccState {
             files: 0,
             dirs: 0,
             stripes: 0,
-            groups: FxHashMap::default(),
+            ids: FxHashMap::default(),
+            names: FxHashMap::default(),
         }
     }
 
-    #[inline]
-    fn row(&mut self, frame: &spider_core::SnapshotFrame, i: usize) {
-        self.rows += 1;
-        match &self.agg {
+    /// Folds the selected rows of one day's frame in.
+    fn fold(&mut self, frame: &SnapshotFrame, selected: &Selection) {
+        let rows = selected.count();
+        self.rows += rows;
+        match self.agg {
             AggSpec::Count => {}
             AggSpec::FilesDirs => {
-                if frame.is_file[i] {
-                    self.files += 1;
-                } else {
-                    self.dirs += 1;
+                let files = selected.rows().filter(|&i| frame.is_file[i]).count() as u64;
+                self.files += files;
+                self.dirs += rows - files;
+            }
+            AggSpec::StripesSum => {
+                self.stripes += selected
+                    .rows()
+                    .map(|i| frame.stripe_count[i] as u64)
+                    .sum::<u64>();
+            }
+            AggSpec::GroupCount { by, .. } => match by {
+                GroupBy::Uid => count_ids(&frame.uid, selected, &mut self.ids),
+                GroupBy::Gid => count_ids(&frame.gid, selected, &mut self.ids),
+                GroupBy::Ext => {
+                    // Count per interned id (last slot: no extension),
+                    // then merge the day into the totals by name.
+                    let none = frame.extension_count();
+                    let mut counts = vec![0u64; none + 1];
+                    for i in selected.rows() {
+                        counts[(frame.ext[i] as usize).min(none)] += 1;
+                    }
+                    for (id, &n) in counts.iter().enumerate().filter(|c| *c.1 > 0) {
+                        let name =
+                            frame.extension_str(if id < none { id as u32 } else { EXT_NONE });
+                        *self
+                            .names
+                            .entry(name.unwrap_or("<none>").into())
+                            .or_insert(0) += n;
+                    }
                 }
-            }
-            AggSpec::StripesSum => self.stripes += frame.stripe_count[i] as u64,
-            AggSpec::GroupCount { by, .. } => {
-                let key = match by {
-                    GroupBy::Uid => frame.uid[i].to_string(),
-                    GroupBy::Gid => frame.gid[i].to_string(),
-                    GroupBy::Ext => frame
-                        .extension_str(frame.ext[i])
-                        .unwrap_or("<none>")
-                        .to_string(),
-                };
-                *self.groups.entry(key).or_insert(0) += 1;
-            }
+            },
         }
     }
 
@@ -553,12 +609,16 @@ impl AccState {
             AggSpec::StripesSum => {
                 format!("{{\"stripes\":{},\"rows\":{}}}", self.stripes, self.rows)
             }
-            AggSpec::GroupCount { top, .. } => {
-                let mut pairs: Vec<(&String, u64)> =
-                    self.groups.iter().map(|(k, &v)| (k, v)).collect();
-                // Count-descending, key-ascending: a total order, so
-                // the rendered bytes are deterministic.
-                pairs.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+            AggSpec::GroupCount { by, top } => {
+                let mut pairs: Vec<(String, u64)> = match by {
+                    GroupBy::Ext => self.names.iter().map(|(k, &v)| (k.clone(), v)).collect(),
+                    _ => self.ids.iter().map(|(k, &v)| (k.to_string(), v)).collect(),
+                };
+                let distinct = pairs.len();
+                // Count-descending, key-ascending *as strings* (uid "10"
+                // sorts before "9"): a total order, so the rendered
+                // bytes are deterministic.
+                pairs.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
                 pairs.truncate(*top);
                 let mut out = String::from("{\"groups\":[");
                 for (i, (key, count)) in pairs.iter().enumerate() {
@@ -569,9 +629,28 @@ impl AccState {
                     crate::json::escape_into(&mut out, key);
                     out.push_str(&format!(",{count}]"));
                 }
-                out.push_str(&format!("],\"distinct\":{}}}", self.groups.len()));
+                out.push_str(&format!("],\"distinct\":{distinct}}}"));
                 out
             }
         }
+    }
+}
+
+/// Counts the selected rows of an id column into `groups`. Frames are
+/// path-sorted and a directory's entries mostly share an owner, so ids
+/// arrive in runs: one map update per run, not per row.
+fn count_ids(column: &[u32], selected: &Selection, groups: &mut FxHashMap<u32, u64>) {
+    let (mut id, mut run) = (0, 0u64);
+    for i in selected.rows() {
+        if column[i] != id {
+            if run > 0 {
+                *groups.entry(id).or_insert(0) += run;
+            }
+            (id, run) = (column[i], 0);
+        }
+        run += 1;
+    }
+    if run > 0 {
+        *groups.entry(id).or_insert(0) += run;
     }
 }

@@ -13,9 +13,10 @@
 //!   degradation notes, and per-query telemetry.
 //! * [`admission`] — per-tenant scan budgets (one token per day
 //!   scanned) with manual or per-second refill.
-//! * [`engine`] — query execution over a scrubbed store through the
-//!   shared [`spider_core::FrameLoader`], with a response cache whose
-//!   rendered bytes back the shed path.
+//! * [`engine`] — query execution over a scrubbed store from resident
+//!   full frames (one per day in the shared
+//!   [`spider_core::FrameCache`], selected and folded in place), with
+//!   a response cache whose rendered bytes back the shed path.
 //! * [`server`] — the admission state machine and std-thread worker
 //!   pool (no async runtime): budget → shed-if-cached → bounded
 //!   queue → typed rejection. Graceful degradation means a stale

@@ -498,10 +498,10 @@ impl ErrorCode {
 /// Per-query timing and scan effort, echoed in `ok`/`shed` responses.
 ///
 /// The stage fields decompose a fresh execution end to end:
-/// `admission + queue + prune + decode + fold + render` covers the
-/// request's `total_ns` up to front-end/worker glue (enforced to within
-/// 10% by the serve soak). `render_ns` is defined as the exec wall time
-/// not spent in prune/decode/fold plus response assembly, so the
+/// `admission + queue + prune + decode + fold + render` tiles the
+/// request's `total_ns` — adjacent stages share their boundary instant
+/// (the serve soak enforces the sum to within 10%). `render_ns` is
+/// defined as the exec wall time not spent in prune/decode/fold, so the
 /// decomposition is exact by construction inside the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryCost {
@@ -515,11 +515,11 @@ pub struct QueryCost {
     pub rows: u64,
     /// Nanoseconds in the admission front-end (parse to verdict).
     pub admission_ns: u64,
-    /// Execution: predicate compile + zone-map day pruning.
+    /// Execution: day-window matching + per-frame predicate compile.
     pub prune_ns: u64,
-    /// Execution: frame load/decode (cache misses pay here).
+    /// Execution: resident-frame lookup (a miss pays its decode here).
     pub decode_ns: u64,
-    /// Execution: the row / fast-path fold over surviving days.
+    /// Execution: predicate selection + the fold over selected rows.
     pub fold_ns: u64,
     /// Execution remainder + response assembly.
     pub render_ns: u64,

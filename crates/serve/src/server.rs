@@ -331,15 +331,17 @@ impl Shared {
                     return self.shed_response(&query, trace, tenant, &answer, received);
                 }
             }
-            let admission_ns = received.elapsed().as_nanos() as u64;
+            // One instant ends admission and starts the queue wait: the
+            // stages tile `total_ns` with no gap between them.
+            let enqueued = Instant::now();
             queue.jobs.push_back(Job {
                 query,
                 tenant,
                 cost,
                 trace,
                 received,
-                admission_ns,
-                enqueued: Instant::now(),
+                admission_ns: (enqueued - received).as_nanos() as u64,
+                enqueued,
                 reply: reply_tx,
             });
             self.available.notify_one();
@@ -375,22 +377,26 @@ impl Shared {
                     queue = self.available.wait(queue).unwrap();
                 }
             };
-            let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
+            // The queue wait ends and the exec window opens at one
+            // instant, so everything below — the trace scope, a
+            // contended histogram lock — lands in a stage (render/glue
+            // remainder), not in an unattributed gap: a resident-frame
+            // query runs in microseconds, where such a gap would be a
+            // visible share of `total_ns`.
+            let exec_started = Instant::now();
+            let queue_ns = (exec_started - job.enqueued).as_nanos() as u64;
             // The requester's trace follows the job onto this thread, so
             // the execute span (and anything the engine emits under it)
             // stays attributable to the originating query.
             let _trace_scope = TraceScope::enter(job.trace);
-            // Recorded inside the exec window: a contended histogram
-            // lock here must land in a stage (render/glue remainder),
-            // not in the unattributed gap between queue and exec.
-            let exec_started = Instant::now();
             telemetry::global().record("serve.queue_ns", queue_ns);
             let response = match self.engine.execute(job.tenant, &job.query) {
                 Ok(exec) => {
-                    let exec_ns = exec_started.elapsed().as_nanos() as u64;
-                    // Totalled here, before any bookkeeping locks, so the
-                    // staged decomposition covers the measured window.
-                    let total_ns = job.received.elapsed().as_nanos() as u64;
+                    // One instant closes both windows, before any
+                    // bookkeeping locks.
+                    let done = Instant::now();
+                    let exec_ns = (done - exec_started).as_nanos() as u64;
+                    let total_ns = (done - job.received).as_nanos() as u64;
                     telemetry::global().record("serve.exec_ns", exec_ns);
                     telemetry::global().incr("serve.ok", 1);
                     self.in_storm.store(false, Ordering::Relaxed);

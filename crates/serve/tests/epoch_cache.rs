@@ -3,10 +3,10 @@
 //! Regression: the response cache used to be keyed by query
 //! fingerprint alone, so a day appended (or removed) after an answer
 //! was cached could be served a stale answer computed over the old day
-//! set. The key now carries an epoch — a digest of the scannable day
-//! set — so any day-set change makes every cold cached answer
-//! unreachable, and `refresh` advances hot accumulator states by
-//! folding in just the new days.
+//! set. The key now carries an epoch — a digest of the scannable days
+//! *and their bytes* — so any change to the store makes every cold
+//! cached answer unreachable, and `refresh` advances hot accumulator
+//! states by folding in just the new days.
 
 use spider_serve::proto::Query;
 use spider_serve::{EngineConfig, QueryEngine};
@@ -182,6 +182,64 @@ fn vanished_days_drop_hot_states_instead_of_reusing_them() {
         .execute(spider_core::UNTENANTED, &q)
         .expect("re-execute");
     assert_eq!(fresh.result, format!("{{\"count\":{}}}", 2 * ROWS));
+
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_day_rewritten_in_place_moves_the_epoch() {
+    // Regression: the epoch used to digest day *numbers* only, and
+    // `refresh` returned early on an unchanged day set — so a day whose
+    // bytes were replaced (peer heal, re-simulation) kept its stale
+    // rendered answer reachable and its hot state alive.
+    let dir = temp_dir("rewrite");
+    seed_store(&dir, &[0, 7, 14]);
+    let engine = QueryEngine::open(&dir, EngineConfig::default()).expect("open engine");
+    let q = query(Q_ALL);
+    let q_untouched = query(r#"{"v":1,"id":2,"tenant":"ops","agg":"count","days":[14,14]}"#);
+    for q in [&q, &q_untouched] {
+        engine.execute(spider_core::UNTENANTED, q).expect("warm");
+    }
+
+    let full = sample_snapshot(7);
+    let half = Snapshot::new(7, full.taken_at(), full.records()[..ROWS / 2].to_vec());
+    fs::write(
+        dir.join("snap-00007.colf"),
+        spider_snapshot::colf::encode(&half),
+    )
+    .expect("rewrite day 7");
+    assert!(
+        engine.cached(q.fingerprint()).is_some(),
+        "refresh is the one freshness point"
+    );
+
+    let before = engine.epoch();
+    let stats = engine.refresh().expect("refresh");
+    assert!(stats.added.is_empty() && stats.removed.is_empty());
+    assert_eq!(stats.rewritten, vec![7]);
+    assert_ne!(stats.epoch, before, "changed bytes must move the epoch");
+    assert_eq!(
+        (stats.hot_dropped, stats.hot_updated),
+        (1, 0),
+        "only the state whose window covers day 7 goes"
+    );
+
+    assert!(
+        engine.cached(q.fingerprint()).is_none(),
+        "stale answer served across an in-place rewrite"
+    );
+    let again = engine
+        .execute(spider_core::UNTENANTED, &q)
+        .expect("re-execute");
+    let fresh = QueryEngine::open(&dir, EngineConfig::default())
+        .expect("fresh engine")
+        .execute(spider_core::UNTENANTED, &q)
+        .expect("fresh execute");
+    assert_eq!(again.result, fresh.result);
+    assert_eq!(
+        again.result,
+        format!("{{\"count\":{}}}", 2 * ROWS + ROWS / 2)
+    );
 
     fs::remove_dir_all(&dir).unwrap();
 }

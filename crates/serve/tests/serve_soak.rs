@@ -4,6 +4,8 @@
 //! request answered, zero protocol errors, shed answers byte-identical
 //! to their cached originals (the load generator's result ledger
 //! enforces this), and the exported telemetry snapshot validates.
+//! Beside the soak: every query shape from two tenants decodes each
+//! resident day exactly once.
 //!
 //! `SPIDER_SERVE_SEED` pins one seed (CI runs one job per pinned
 //! seed); unset, all three defaults run.
@@ -15,6 +17,11 @@ use spider_serve::{
 use spider_telemetry::{global, TelemetrySnapshot};
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Mutex;
+
+/// Every test here enables the process-wide telemetry registry and one
+/// of them asserts on a counter's movement, so they take turns.
+static TELEMETRY: Mutex<()> = Mutex::new(());
 
 fn seeds() -> Vec<u64> {
     match std::env::var("SPIDER_SERVE_SEED") {
@@ -70,6 +77,7 @@ fn spec(seed: u64, day_hi: u32, arrival: Arrival) -> LoadSpec {
 
 #[test]
 fn seeded_soak_steady_then_overload() {
+    let _turn = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
     // Telemetry is off by default; the soak validates the export.
     global().enable();
     for seed in seeds() {
@@ -209,6 +217,7 @@ fn seeded_soak_steady_then_overload() {
 /// clients and zero connections drop.
 #[test]
 fn tcp_soak_drops_nothing() {
+    let _turn = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
     // Enabled so the metrics scrape below carries populated counters.
     global().enable();
     let seed = seeds()[0];
@@ -303,5 +312,53 @@ fn tcp_soak_drops_nothing() {
             );
         }
     }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// ROADMAP's "decode bytes per level ≤ a small multiple of store size"
+/// as an assertion: all twelve query shapes from two tenants over D
+/// resident days cost one full decode per day — not one per (day,
+/// predicate), and not one per tenant.
+#[test]
+fn a_day_decodes_once() {
+    let _turn = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
+    global().enable();
+    let seed = seeds()[0];
+    let dir = temp_dir(&format!("once-{seed:x}"));
+    let days =
+        spider_serve::synth_store(&dir, STORE_DAYS, ROWS_PER_DAY, seed).expect("synth store");
+    let day_hi = *days.last().unwrap();
+    let colf_bytes: u64 = fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap())
+        .filter(|entry| entry.file_name().to_string_lossy().ends_with(".colf"))
+        .map(|entry| entry.metadata().unwrap().len())
+        .sum();
+    let engine = QueryEngine::open(&dir, EngineConfig::default()).expect("open engine");
+
+    // Counted from here: the open-time scrub has already decoded every
+    // day once, outside the frame cache.
+    let decoded = global().counter("frame.decode.bytes");
+    let before = decoded.get();
+    for (tenant, name) in [(1, "t0"), (2, "t1")] {
+        // Draws 0..12 are the twelve shapes at their first band.
+        for draw in 0..12 {
+            engine
+                .execute(
+                    tenant,
+                    &spider_serve::sample_query(draw, name, day_hi, draw),
+                )
+                .expect("execute");
+        }
+    }
+    let (hits, misses, evictions) = engine.cache().stats();
+    assert_eq!(misses, days.len() as u64, "one first touch per day");
+    assert_eq!(evictions, 0, "the default cache holds the whole store");
+    assert!(hits > misses, "every later touch is a hit");
+    let decoded_bytes = decoded.get() - before;
+    assert!(
+        decoded_bytes >= colf_bytes && decoded_bytes <= colf_bytes * 3 / 2,
+        "decoded {decoded_bytes} B serving a {colf_bytes} B store"
+    );
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -60,20 +60,23 @@ if timeout 90 cargo fetch --quiet 2>/dev/null; then
     cargo test -q -p spider-raft --test prop_raft
     # The query service under the same three pinned seeds: seeded
     # steady + overload soak (zero drops, zero protocol errors, shed
-    # answers byte-identical to cached originals), cache fairness under
-    # concurrent tenants, and serving from every degraded-store cell
-    # class with substitution notes.
-    echo "== serve soak + fairness + degraded serve (pinned seeds)"
+    # answers byte-identical to cached originals, each day decoded
+    # once), the served select-then-fold byte-identical to its row-wise
+    # oracle, cache fairness under concurrent tenants, and serving from
+    # every degraded-store cell class with substitution notes.
+    echo "== serve soak + fold equivalence + fairness + degraded serve (pinned seeds)"
     for seed in 660942 2964594389 3237998146; do
         echo "   -- SPIDER_SERVE_SEED=$seed"
         SPIDER_SERVE_SEED=$seed cargo test -q -p spider-serve --test serve_soak
+        SPIDER_SERVE_SEED=$seed cargo test -q -p spider-serve --test fold_equivalence
         SPIDER_SERVE_SEED=$seed cargo test -q -p spider-core --test cache_fairness
     done
     cargo test -q -p spider-serve --test degraded_serve
     # Incremental aggregation must stay fingerprint-identical to the
     # full-rescan oracle under a random day-lifecycle storm (appends,
     # quarantines, degrades, heals), per pinned seed; the epoch-keyed
-    # response cache must never surface answers from a stale day set;
+    # response cache must never surface answers from a stale day set
+    # or from a day's stale bytes;
     # the bench smoke additionally asserts the ≥10x append speedup and
     # the fault-cell fallbacks.
     echo "== incremental equivalence (pinned seeds) + epoch cache"

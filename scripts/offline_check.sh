@@ -61,6 +61,7 @@ ITESTS=(
     "incremental_equivalence:crates/core/tests/incremental_equivalence.rs:spider_core spider_snapshot spider_fsmeta spider_telemetry spider_obs"
     "degraded_serve:crates/serve/tests/degraded_serve.rs:spider_serve spider_snapshot spider_core spider_fsmeta"
     "epoch_cache:crates/serve/tests/epoch_cache.rs:spider_serve spider_snapshot spider_core spider_fsmeta"
+    "fold_equivalence:crates/serve/tests/fold_equivalence.rs:spider_serve spider_snapshot spider_core spider_fsmeta"
     "serve_soak:crates/serve/tests/serve_soak.rs:spider_serve spider_snapshot spider_core spider_telemetry"
     "pipeline_end_to_end:tests/pipeline_end_to_end.rs:spider_experiments spider_sim spider_snapshot spider_core spider_graph spider_report spider_workload spider_fsmeta spider_stats serde_json"
     "determinism:tests/determinism.rs:spider_experiments spider_sim spider_snapshot spider_core spider_graph spider_report spider_workload spider_fsmeta spider_stats serde_json"
