@@ -6,10 +6,12 @@
 //! single-aggregate queries that costs one full frame scan per statistic;
 //! [`MultiAgg`] registers them all up front and computes every one in a
 //! single morsel-driven pass: per group, a `Vec<AggState>` holds one
-//! small accumulator per registered aggregate, updated per row and merged
-//! pairwise up the engine's fixed morsel tree. Because every state merge
-//! is order-deterministic (integer adds, float adds in tree order, exact
-//! sketch merges), parallel and sequential engines agree exactly.
+//! small accumulator per registered aggregate, folded a run of equal keys
+//! at a time (one state/spec dispatch per run, then a loop over its rows)
+//! and merged pairwise up the engine's fixed morsel tree. Because every
+//! state merge is order-deterministic (integer adds, float adds in tree
+//! order, exact sketch merges), parallel and sequential engines agree
+//! exactly.
 //!
 //! Value functions return `Option<f64>`; `None` rows are skipped by that
 //! aggregate only (SQL `NULL` semantics), which is how e.g. a stripe-width
@@ -43,6 +45,7 @@ use rustc_hash::FxHashMap;
 use spider_stats::QuantileSketch;
 use std::hash::Hash;
 use std::marker::PhantomData;
+use std::ops::Range;
 
 /// A per-row value extractor; `None` means "skip this row for this
 /// aggregate" (SQL `NULL`).
@@ -258,34 +261,36 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, spec: &AggSpec<'_>, frame: &SnapshotFrame, i: usize) {
+    /// Folds a run of rows into the state, in row order: the state/spec
+    /// pair is matched once per run, not once per row.
+    fn fold_run(&mut self, spec: &AggSpec<'_>, frame: &SnapshotFrame, run: Range<usize>) {
         match (self, spec) {
-            (AggState::Count(c), AggSpec::Count) => *c += 1,
+            (AggState::Count(c), AggSpec::Count) => *c += run.len() as u64,
             (AggState::Sum(s), AggSpec::Sum(value)) => {
-                if let Some(v) = value(frame, i) {
+                for v in run.filter_map(|i| value(frame, i)) {
                     *s += v;
                 }
             }
             (AggState::Mean { sum, n }, AggSpec::Mean(value)) => {
-                if let Some(v) = value(frame, i) {
+                for v in run.filter_map(|i| value(frame, i)) {
                     *sum += v;
                     *n += 1;
                 }
             }
             (AggState::Min { v, n }, AggSpec::Min(value)) => {
-                if let Some(x) = value(frame, i) {
+                for x in run.filter_map(|i| value(frame, i)) {
                     *v = if *n == 0 { x } else { v.min(x) };
                     *n += 1;
                 }
             }
             (AggState::Max { v, n }, AggSpec::Max(value)) => {
-                if let Some(x) = value(frame, i) {
+                for x in run.filter_map(|i| value(frame, i)) {
                     *v = if *n == 0 { x } else { v.max(x) };
                     *n += 1;
                 }
             }
             (AggState::Quantile(sketch), AggSpec::Quantile(value, _)) => {
-                if let Some(v) = value(frame, i) {
+                for v in run.filter_map(|i| value(frame, i)) {
                     sketch.push(v);
                 }
             }
@@ -400,7 +405,9 @@ where
     }
 
     fn push(mut self, name: &str, spec: AggSpec<'f>) -> Self {
-        debug_assert!(
+        // A duplicate would be answered from the first aggregate of that
+        // name, silently, so it is rejected in every build.
+        assert!(
             self.specs.iter().all(|s| s.name != name),
             "duplicate aggregate name {name:?}"
         );
@@ -533,14 +540,14 @@ where
                     None
                 }
             },
-            |acc: &mut Vec<AggState>, i| {
+            |acc: &mut Vec<AggState>, run| {
                 // `group_fold` starts groups from Default (an empty Vec);
                 // materialize the per-aggregate states on first touch.
                 if acc.is_empty() {
                     acc.extend(specs.iter().map(|s| AggState::init(&s.spec)));
                 }
                 for (slot, named) in acc.iter_mut().zip(&specs) {
-                    slot.update(&named.spec, frame, i);
+                    slot.fold_run(&named.spec, frame, run.clone());
                 }
             },
             |a, b| {
@@ -658,7 +665,8 @@ impl<K: Eq + Hash> MultiAggResult<K> {
 
     /// The `k` groups with the highest numeric value of aggregate `name`,
     /// descending (ties broken by key for determinism). Groups where the
-    /// aggregate is `NULL` are skipped.
+    /// aggregate is `NULL` or NaN are skipped, so the rest are totally
+    /// ordered and the ranking does not depend on the map's order.
     pub fn top_k(&self, name: &str, k: usize) -> Vec<(K, f64)>
     where
         K: Clone + Ord,
@@ -669,13 +677,12 @@ impl<K: Eq + Hash> MultiAggResult<K> {
         let mut ranked: Vec<(K, f64)> = self
             .groups
             .iter()
-            .filter_map(|(key, vals)| vals[idx].numeric().map(|v| (key.clone(), v)))
+            .filter_map(|(key, vals)| {
+                let v = vals[idx].numeric().filter(|v| !v.is_nan())?;
+                Some((key.clone(), v))
+            })
             .collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         ranked.truncate(k);
         ranked
     }
@@ -822,6 +829,31 @@ mod tests {
         assert_eq!(stats.top_k("entries", 1), vec![(10, 3.0)]);
         assert_eq!(stats.top_k("entries", 9), vec![(10, 3.0), (11, 2.0)]);
         assert!(stats.top_k("missing", 3).is_empty());
+    }
+
+    #[test]
+    fn top_k_skips_nan_groups() {
+        let f = frame();
+        // One group per row; rows 0 and 2 sum to NaN.
+        let vals = [f64::NAN, 2.0, f64::NAN, 5.0, 1.0];
+        let stats = Scan::over(&f)
+            .multi(|_, i| Some(i as u32))
+            .sum("v", move |_, i| vals[i])
+            .run();
+        assert!(stats.sum(&0, "v").unwrap().is_nan());
+        assert_eq!(stats.top_k("v", 9), vec![(3, 5.0), (1, 2.0), (4, 1.0)]);
+        assert_eq!(stats.top_k("v", 1), vec![(3, 5.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate aggregate name")]
+    fn duplicate_names_are_rejected() {
+        let f = frame();
+        // Without the check, `sum(.., "n")` would read the count.
+        let _ = Scan::over(&f)
+            .multi(|f, i| Some(f.gid[i]))
+            .count("n")
+            .sum("n", |f, i| f.atime[i] as f64);
     }
 
     #[test]

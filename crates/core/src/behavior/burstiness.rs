@@ -111,9 +111,11 @@ impl SnapshotVisitor for BurstinessAnalysis {
             self.engine.group_fold(
                 indexes.len(),
                 |j| Some(records[indexes[j] as usize].gid),
-                |acc: &mut Vec<f64>, j| {
-                    let r = &records[indexes[j] as usize];
-                    acc.push(time_of(r).saturating_sub(base) as f64);
+                |acc: &mut Vec<f64>, run| {
+                    acc.extend(run.map(|j| {
+                        let r = &records[indexes[j] as usize];
+                        time_of(r).saturating_sub(base) as f64
+                    }));
                 },
                 |a, b| a.extend(b),
             )

@@ -18,10 +18,13 @@
 //!   sums, where association order matters — on any machine. This is what
 //!   lets every analysis assert `Parallel == Sequential` exactly.
 //!
-//! Every group-by in the analyses funnels through [`Engine::group_fold`];
-//! free-form reductions use [`Engine::fold_morsels`] directly. The
-//! sequential mode is the oracle the parallel one is checked against, and
-//! serves single-threaded debugging.
+//! Every group-by in the analyses funnels through [`Engine::group_fold`],
+//! which folds a leaf a *run* of equal keys at a time: snapshots are
+//! path-sorted, so a project's or a user's rows arrive together and cost
+//! one hash probe per run, not per row. Free-form reductions use
+//! [`Engine::fold_morsels`] directly. The sequential mode is the oracle
+//! the parallel one is checked against, and serves single-threaded
+//! debugging.
 
 use rustc_hash::FxHashMap;
 use spider_stats::par;
@@ -106,6 +109,88 @@ where
     merge(a, b)
 }
 
+/// One-row runs in a row after which [`fold_runs`] stops looking for runs
+/// for a while.
+const SHORT_RUNS: u32 = 4;
+
+/// Rows [`fold_runs`] then probes one at a time before it looks for runs
+/// again.
+const PER_ROW_BLOCK: usize = 256;
+
+/// Folds one morsel leaf into `acc` a run at a time: the leaf extends a
+/// run while `key` stays equal and probes the map once per run, so a
+/// run of thousands of rows costs one hash probe.
+///
+/// Where keys rarely repeat (the extension key averages ≈1.2 rows a
+/// run), the run bookkeeping costs more than it saves; after
+/// [`SHORT_RUNS`] one-row runs in a row the leaf hands the next
+/// [`PER_ROW_BLOCK`] rows to [`fold_rows`], then looks for runs again.
+/// Either way each row is keyed once and folded, in ascending order, into
+/// the entry its key names, so the result does not depend on the mode.
+fn fold_runs<K, A>(
+    acc: &mut FxHashMap<K, A>,
+    rows: Range<usize>,
+    key: &impl Fn(usize) -> Option<K>,
+    fold: &impl Fn(&mut A, Range<usize>),
+) where
+    K: Eq + Hash,
+    A: Default,
+{
+    let end = rows.end;
+    let mut i = rows.start;
+    // `key(i)`, when the run before row `i` already computed it.
+    let mut next: Option<Option<K>> = None;
+    let mut short = 0u32;
+    while i < end {
+        let Some(k) = next.take().unwrap_or_else(|| key(i)) else {
+            i += 1;
+            continue;
+        };
+        let start = i;
+        i += 1;
+        while i < end {
+            let k2 = key(i);
+            if k2.as_ref() != Some(&k) {
+                next = Some(k2);
+                break;
+            }
+            i += 1;
+        }
+        fold(acc.entry(k).or_default(), start..i);
+        short = if i - start == 1 { short + 1 } else { 0 };
+        if short == SHORT_RUNS {
+            short = 0;
+            // The run ended at the leaf's end: nothing is left.
+            let Some(pending) = next.take() else { break };
+            if let Some(k) = pending {
+                fold(acc.entry(k).or_default(), i..i + 1);
+            }
+            let block_end = (i + 1 + PER_ROW_BLOCK).min(end);
+            fold_rows(acc, i + 1..block_end, key, fold);
+            i = block_end;
+        }
+    }
+}
+
+/// Folds `rows` one probe per row. Kept out of line: inlined into
+/// [`fold_runs`], the row loop compiled ≈20 % slower than on its own.
+#[inline(never)]
+fn fold_rows<K, A>(
+    acc: &mut FxHashMap<K, A>,
+    rows: Range<usize>,
+    key: &impl Fn(usize) -> Option<K>,
+    fold: &impl Fn(&mut A, Range<usize>),
+) where
+    K: Eq + Hash,
+    A: Default,
+{
+    for i in rows {
+        if let Some(k) = key(i) {
+            fold(acc.entry(k).or_default(), i..i + 1);
+        }
+    }
+}
+
 impl Engine {
     /// The morsel-driven fold primitive: fold row ranges into per-morsel
     /// accumulators, merge them pairwise up a fixed tree.
@@ -147,15 +232,23 @@ impl Engine {
     /// `None` are skipped) and folds each group with `fold`, starting from
     /// `A::default()`; shards are merged with `merge`.
     ///
+    /// `fold` receives a **run**: a range of consecutive rows that share
+    /// one key, which it must fold in ascending order. Snapshots are
+    /// path-sorted, so a project's or a user's rows arrive together and a
+    /// leaf probes its map once per run instead of once per row. `key` is
+    /// called exactly once per row.
+    ///
     /// Runs morsel-driven: each morsel of rows builds a private
     /// `FxHashMap` shard, and shards merge pairwise in a fixed order, so
     /// both engines produce identical maps. There are at most 4 shards
-    /// (see [`morsel_rows_for`]), whatever the row count.
+    /// (see [`morsel_rows_for`]), whatever the row count. Runs never
+    /// cross a leaf, so the tree — and every floating-point association
+    /// in it — is the same as a row-at-a-time fold's.
     pub fn group_fold<K, A>(
         &self,
         n: usize,
         key: impl Fn(usize) -> Option<K> + Sync + Send,
-        fold: impl Fn(&mut A, usize) + Sync + Send,
+        fold: impl Fn(&mut A, Range<usize>) + Sync + Send,
         merge: impl Fn(&mut A, A) + Sync + Send,
     ) -> FxHashMap<K, A>
     where
@@ -166,11 +259,7 @@ impl Engine {
             n,
             FxHashMap::default,
             |mut acc: FxHashMap<K, A>, rows| {
-                for i in rows {
-                    if let Some(k) = key(i) {
-                        fold(acc.entry(k).or_default(), i);
-                    }
-                }
+                fold_runs(&mut acc, rows, &key, &fold);
                 acc
             },
             |mut a, b| {
@@ -268,7 +357,7 @@ mod tests {
             let groups: FxHashMap<u32, u64> = engine.group_fold(
                 keys.len(),
                 |i| Some(keys[i]),
-                |acc: &mut u64, _| *acc += 1,
+                |acc: &mut u64, run| *acc += run.len() as u64,
                 |a, b| *a += b,
             );
             assert_eq!(groups[&1], 3, "{engine:?}");
@@ -284,7 +373,7 @@ mod tests {
             let groups: FxHashMap<u32, u64> = engine.group_fold(
                 keys.len(),
                 |i| keys[i],
-                |acc: &mut u64, _| *acc += 1,
+                |acc: &mut u64, run| *acc += run.len() as u64,
                 |a, b| *a += b,
             );
             assert_eq!(groups.len(), 1);
@@ -450,7 +539,7 @@ mod tests {
             let groups: FxHashMap<u8, f64> = engine.group_fold(
                 keys.len(),
                 |i| Some(keys[i]),
-                |acc: &mut f64, i| *acc += vals[i],
+                |acc: &mut f64, run| run.for_each(|i| *acc += vals[i]),
                 |a, b| *a += b,
             );
             assert_eq!(groups[&0], 6.0);

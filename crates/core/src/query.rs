@@ -534,7 +534,7 @@ impl<'f, P: RowPred> Scan<'f, P> {
                     None
                 }
             },
-            |acc: &mut u64, _| *acc += 1,
+            |acc: &mut u64, run| *acc += run.len() as u64,
             |a, b| *a += b,
         )
     }
@@ -558,7 +558,11 @@ impl<'f, P: RowPred> Scan<'f, P> {
                     None
                 }
             },
-            |acc: &mut f64, i| *acc += value(frame, i),
+            |acc: &mut f64, run| {
+                for i in run {
+                    *acc += value(frame, i);
+                }
+            },
             |a, b| *a += b,
         )
     }
@@ -582,9 +586,11 @@ impl<'f, P: RowPred> Scan<'f, P> {
                     None
                 }
             },
-            |acc: &mut (f64, u64), i| {
-                acc.0 += value(frame, i);
-                acc.1 += 1;
+            |acc: &mut (f64, u64), run| {
+                acc.1 += run.len() as u64;
+                for i in run {
+                    acc.0 += value(frame, i);
+                }
             },
             |a, b| {
                 a.0 += b.0;
@@ -615,9 +621,11 @@ impl<'f, P: RowPred> Scan<'f, P> {
                     None
                 }
             },
-            |acc: &mut Option<u64>, i| {
-                let v = value(frame, i);
-                *acc = Some(acc.map_or(v, |a| a.min(v)));
+            |acc: &mut Option<u64>, run| {
+                for i in run {
+                    let v = value(frame, i);
+                    *acc = Some(acc.map_or(v, |a| a.min(v)));
+                }
             },
             |a, b| {
                 if let Some(v) = b {
@@ -651,7 +659,11 @@ impl<'f, P: RowPred> Scan<'f, P> {
                     None
                 }
             },
-            |acc: &mut u64, i| *acc = (*acc).max(value(frame, i)),
+            |acc: &mut u64, run| {
+                for i in run {
+                    *acc = (*acc).max(value(frame, i));
+                }
+            },
             |a, b| *a = (*a).max(b),
         )
     }
@@ -680,7 +692,11 @@ impl<'f, P: RowPred> Scan<'f, P> {
                     None
                 }
             },
-            |acc: &mut A, i| fold(acc, frame, i),
+            |acc: &mut A, run| {
+                for i in run {
+                    fold(acc, frame, i);
+                }
+            },
             merge,
         )
     }

@@ -55,7 +55,7 @@ pub fn fanout_distribution_with_engine(snapshot: &Snapshot, engine: Engine) -> F
                 _ => None,
             }
         },
-        |acc: &mut u64, _| *acc += 1,
+        |acc: &mut u64, run| *acc += run.len() as u64,
         |a, b| *a += b,
     );
     let all_dirs: Vec<&str> = records

@@ -81,6 +81,35 @@ fn frame(g: &mut Gen) -> SnapshotFrame {
     SnapshotFrame::build(&Snapshot::new(0, 0, records))
 }
 
+/// A frame laid out like a path-sorted snapshot: up to ~20k rows in runs
+/// of one gid per directory, run lengths from 1 to past a morsel, so
+/// group folds see long runs that cross morsel-leaf edges next to runs
+/// of one or two rows.
+fn clustered_frame(g: &mut Gen) -> SnapshotFrame {
+    let n = g.int(0usize..20_000);
+    let mut records = Vec::with_capacity(n);
+    let mut dir = 0usize;
+    while records.len() < n {
+        let len = match g.int(0u8..4) {
+            0 => g.int(1usize..3),
+            1 => g.int(1usize..64),
+            2 => g.int(1usize..1_000),
+            _ => g.int(1usize..9_000),
+        }
+        .min(n - records.len());
+        let gid = g.int(0u32..6);
+        for e in 0..len {
+            let mut r = record(g);
+            r.gid = gid;
+            r.uid = gid + 100;
+            r.path = format!("/r{dir:05}/e{e:04}");
+            records.push(r);
+        }
+        dir += 1;
+    }
+    SnapshotFrame::build(&Snapshot::new(0, 0, records))
+}
+
 /// Applies up to three runtime filters as composed static predicates.
 /// Each arm has a distinct `Scan<_, P>` type — the composition is still
 /// zero-boxing, the test just enumerates the shapes.
@@ -130,39 +159,47 @@ fn fused_count_matches_materialized_reference() {
 fn grouped_aggregates_match_reference() {
     check("grouped_aggregates_match_reference", 256, |g| {
         let frame = frame(g);
-        let spec = filter(g);
-        let rows = naive_rows(&frame, &[spec]);
-        let mut ref_count: FxHashMap<u32, u64> = FxHashMap::default();
-        let mut ref_sum: FxHashMap<u32, f64> = FxHashMap::default();
-        let mut ref_min: FxHashMap<u32, u64> = FxHashMap::default();
-        let mut ref_max: FxHashMap<u32, u64> = FxHashMap::default();
-        for &i in &rows {
-            let gid = frame.gid[i];
-            *ref_count.entry(gid).or_insert(0) += 1;
-            *ref_sum.entry(gid).or_insert(0.0) += frame.mtime[i] as f64;
-            let m = ref_min.entry(gid).or_insert(u64::MAX);
-            *m = (*m).min(frame.atime[i]);
-            let x = ref_max.entry(gid).or_insert(0);
-            *x = (*x).max(frame.atime[i]);
-        }
-        for engine in [Engine::Parallel, Engine::Sequential] {
-            let scan = Scan::with_engine(&frame, engine).filter(move |f, i| spec.matches(f, i));
-            assert_eq!(&scan.group_count(|f, i| Some(f.gid[i])), &ref_count);
-            // Integer-valued sums are exact: strict equality is sound.
-            assert_eq!(
-                &scan.group_sum(|f, i| Some(f.gid[i]), |f, i| f.mtime[i] as f64),
-                &ref_sum
-            );
-            assert_eq!(
-                &scan.group_min(|f, i| Some(f.gid[i]), |f, i| f.atime[i]),
-                &ref_min
-            );
-            assert_eq!(
-                &scan.group_max(|f, i| Some(f.gid[i]), |f, i| f.atime[i]),
-                &ref_max
-            );
-        }
+        grouped_aggregates_case(g, &frame);
     });
+    check("grouped_aggregates_match_reference_clustered", 24, |g| {
+        let frame = clustered_frame(g);
+        grouped_aggregates_case(g, &frame);
+    });
+}
+
+fn grouped_aggregates_case(g: &mut Gen, frame: &SnapshotFrame) {
+    let spec = filter(g);
+    let rows = naive_rows(frame, &[spec]);
+    let mut ref_count: FxHashMap<u32, u64> = FxHashMap::default();
+    let mut ref_sum: FxHashMap<u32, f64> = FxHashMap::default();
+    let mut ref_min: FxHashMap<u32, u64> = FxHashMap::default();
+    let mut ref_max: FxHashMap<u32, u64> = FxHashMap::default();
+    for &i in &rows {
+        let gid = frame.gid[i];
+        *ref_count.entry(gid).or_insert(0) += 1;
+        *ref_sum.entry(gid).or_insert(0.0) += frame.mtime[i] as f64;
+        let m = ref_min.entry(gid).or_insert(u64::MAX);
+        *m = (*m).min(frame.atime[i]);
+        let x = ref_max.entry(gid).or_insert(0);
+        *x = (*x).max(frame.atime[i]);
+    }
+    for engine in [Engine::Parallel, Engine::Sequential] {
+        let scan = Scan::with_engine(frame, engine).filter(move |f, i| spec.matches(f, i));
+        assert_eq!(&scan.group_count(|f, i| Some(f.gid[i])), &ref_count);
+        // Integer-valued sums are exact: strict equality is sound.
+        assert_eq!(
+            &scan.group_sum(|f, i| Some(f.gid[i]), |f, i| f.mtime[i] as f64),
+            &ref_sum
+        );
+        assert_eq!(
+            &scan.group_min(|f, i| Some(f.gid[i]), |f, i| f.atime[i]),
+            &ref_min
+        );
+        assert_eq!(
+            &scan.group_max(|f, i| Some(f.gid[i]), |f, i| f.atime[i]),
+            &ref_max
+        );
+    }
 }
 
 /// `any` / `is_empty` agree with the reference and short-circuiting
@@ -186,65 +223,71 @@ fn any_matches_reference() {
 #[test]
 fn multiagg_matches_individual_queries() {
     check("multiagg_matches_individual_queries", 256, |g| {
-        let frame = frame(g);
-        let run = |engine: Engine| {
-            Scan::with_engine(&frame, engine)
-                .multi(|f: &SnapshotFrame, i| Some(f.gid[i]))
-                .count("entries")
-                .sum("mtime_sum", |f, i| f.mtime[i] as f64)
-                .mean("mtime_mean", |f, i| f.mtime[i] as f64)
-                .min_opt("file_atime_min", |f, i| {
-                    f.is_file[i].then(|| f.atime[i] as f64)
-                })
-                .max("atime_max", |f, i| f.atime[i] as f64)
-                .run()
-        };
-        let par = run(Engine::Parallel);
-        let seq = run(Engine::Sequential);
-
-        let scan = Scan::over(&frame);
-        let counts = scan.group_count(|f, i| Some(f.gid[i]));
-        let sums = scan.group_sum(|f, i| Some(f.gid[i]), |f, i| f.mtime[i] as f64);
-        let means = scan.group_mean(|f, i| Some(f.gid[i]), |f, i| f.mtime[i] as f64);
-        let file_mins = Scan::over(&frame)
-            .files()
-            .group_min(|f, i| Some(f.gid[i]), |f, i| f.atime[i]);
-        let maxes = scan.group_max(|f, i| Some(f.gid[i]), |f, i| f.atime[i]);
-
-        assert_eq!(par.len(), counts.len());
-        for (&g, &n) in &counts {
-            assert_eq!(par.count(&g, "entries"), Some(n));
-            assert_eq!(par.sum(&g, "mtime_sum"), Some(sums[&g]));
-            assert_eq!(
-                par.mean(&g, "mtime_mean").map(f64::to_bits),
-                Some(means[&g].to_bits())
-            );
-            assert_eq!(
-                par.min(&g, "file_atime_min"),
-                file_mins.get(&g).map(|&v| v as f64)
-            );
-            assert_eq!(par.max(&g, "atime_max"), Some(maxes[&g] as f64));
-
-            // Engines agree bit-for-bit on every aggregate.
-            for name in [
-                "entries",
-                "mtime_sum",
-                "mtime_mean",
-                "file_atime_min",
-                "atime_max",
-            ] {
-                let a = par
-                    .value(&g, name)
-                    .and_then(|v| v.numeric())
-                    .map(f64::to_bits);
-                let b = seq
-                    .value(&g, name)
-                    .and_then(|v| v.numeric())
-                    .map(f64::to_bits);
-                assert_eq!(a, b, "engine mismatch on {name}");
-            }
-        }
+        multiagg_case(&frame(g));
     });
+    check("multiagg_matches_individual_queries_clustered", 24, |g| {
+        multiagg_case(&clustered_frame(g));
+    });
+}
+
+fn multiagg_case(frame: &SnapshotFrame) {
+    let run = |engine: Engine| {
+        Scan::with_engine(frame, engine)
+            .multi(|f: &SnapshotFrame, i| Some(f.gid[i]))
+            .count("entries")
+            .sum("mtime_sum", |f, i| f.mtime[i] as f64)
+            .mean("mtime_mean", |f, i| f.mtime[i] as f64)
+            .min_opt("file_atime_min", |f, i| {
+                f.is_file[i].then(|| f.atime[i] as f64)
+            })
+            .max("atime_max", |f, i| f.atime[i] as f64)
+            .run()
+    };
+    let par = run(Engine::Parallel);
+    let seq = run(Engine::Sequential);
+
+    let scan = Scan::over(frame);
+    let counts = scan.group_count(|f, i| Some(f.gid[i]));
+    let sums = scan.group_sum(|f, i| Some(f.gid[i]), |f, i| f.mtime[i] as f64);
+    let means = scan.group_mean(|f, i| Some(f.gid[i]), |f, i| f.mtime[i] as f64);
+    let file_mins = Scan::over(frame)
+        .files()
+        .group_min(|f, i| Some(f.gid[i]), |f, i| f.atime[i]);
+    let maxes = scan.group_max(|f, i| Some(f.gid[i]), |f, i| f.atime[i]);
+
+    assert_eq!(par.len(), counts.len());
+    for (&g, &n) in &counts {
+        assert_eq!(par.count(&g, "entries"), Some(n));
+        assert_eq!(par.sum(&g, "mtime_sum"), Some(sums[&g]));
+        assert_eq!(
+            par.mean(&g, "mtime_mean").map(f64::to_bits),
+            Some(means[&g].to_bits())
+        );
+        assert_eq!(
+            par.min(&g, "file_atime_min"),
+            file_mins.get(&g).map(|&v| v as f64)
+        );
+        assert_eq!(par.max(&g, "atime_max"), Some(maxes[&g] as f64));
+
+        // Engines agree bit-for-bit on every aggregate.
+        for name in [
+            "entries",
+            "mtime_sum",
+            "mtime_mean",
+            "file_atime_min",
+            "atime_max",
+        ] {
+            let a = par
+                .value(&g, name)
+                .and_then(|v| v.numeric())
+                .map(f64::to_bits);
+            let b = seq
+                .value(&g, name)
+                .and_then(|v| v.numeric())
+                .map(f64::to_bits);
+            assert_eq!(a, b, "engine mismatch on {name}");
+        }
+    }
 }
 
 /// `top_k_groups` is deterministic and consistent across engines.
@@ -252,17 +295,23 @@ fn multiagg_matches_individual_queries() {
 fn top_k_is_deterministic() {
     check("top_k_is_deterministic", 256, |g| {
         let frame = frame(g);
-        let k = g.int(0usize..8);
-        let par =
-            Scan::with_engine(&frame, Engine::Parallel).top_k_groups(|f, i| Some(f.gid[i]), k);
-        let seq =
-            Scan::with_engine(&frame, Engine::Sequential).top_k_groups(|f, i| Some(f.gid[i]), k);
-        assert_eq!(&par, &seq);
-        // Descending by count, ties broken by ascending key.
-        for w in par.windows(2) {
-            assert!(w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0));
-        }
+        top_k_case(g, &frame);
     });
+    check("top_k_is_deterministic_clustered", 24, |g| {
+        let frame = clustered_frame(g);
+        top_k_case(g, &frame);
+    });
+}
+
+fn top_k_case(g: &mut Gen, frame: &SnapshotFrame) {
+    let k = g.int(0usize..8);
+    let par = Scan::with_engine(frame, Engine::Parallel).top_k_groups(|f, i| Some(f.gid[i]), k);
+    let seq = Scan::with_engine(frame, Engine::Sequential).top_k_groups(|f, i| Some(f.gid[i]), k);
+    assert_eq!(&par, &seq);
+    // Descending by count, ties broken by ascending key.
+    for w in par.windows(2) {
+        assert!(w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0));
+    }
 }
 
 /// Typed filters stacked on `files()` count exactly the rows a

@@ -36,6 +36,13 @@ echo "== decode kernels + frame equivalence (deterministic + property suites)"
 cargo test -q --locked -p spider-snapshot --test decode_kernels
 cargo test -q --locked -p spider-core --test frame_equivalence
 cargo test -q --locked -p spider-core --test prop_frame
+# The group fold folds a run of equal keys at a time; it must equal
+# its row-at-a-time oracle bit for bit, on long runs across morsel
+# edges and on keys that never repeat, and the per-stage scan counters
+# must count each passed row once.
+echo "== group runs + scan counters"
+cargo test -q --locked -p spider-core --test group_runs
+cargo test -q --locked -p spider-core --test scan_counters
 # Predicate pushdown must return exactly the rows the closure path
 # keeps, including under injected zone-map corruption; the golden
 # fixtures pin the v2/v3 encoders byte-for-byte, keep the frozen v1
