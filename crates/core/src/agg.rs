@@ -38,9 +38,8 @@
 //! assert_eq!(stats.sum(&42, "files"), Some(1.0));
 //! ```
 
-use crate::engine::Engine;
 use crate::frame::SnapshotFrame;
-use crate::query::RowPred;
+use crate::query::Scan;
 use rustc_hash::FxHashMap;
 use spider_stats::QuantileSketch;
 use std::hash::Hash;
@@ -378,26 +377,22 @@ impl AggValue {
 
 /// Builder for a one-pass multi-aggregate scan; created by
 /// [`crate::Scan::multi`].
-pub struct MultiAgg<'f, K, P, KF> {
-    frame: &'f SnapshotFrame,
-    engine: Engine,
-    pred: P,
+pub struct MultiAgg<'f, K, KF> {
+    /// The scan whose selected rows are grouped.
+    scan: Scan<'f>,
     key: KF,
     specs: Vec<NamedSpec<'f>>,
     _key: PhantomData<K>,
 }
 
-impl<'f, K, P, KF> MultiAgg<'f, K, P, KF>
+impl<'f, K, KF> MultiAgg<'f, K, KF>
 where
     K: Eq + Hash + Send,
-    P: RowPred,
     KF: Fn(&SnapshotFrame, usize) -> Option<K> + Sync + Send,
 {
-    pub(crate) fn new(frame: &'f SnapshotFrame, engine: Engine, pred: P, key: KF) -> Self {
+    pub(crate) fn new(scan: Scan<'f>, key: KF) -> Self {
         MultiAgg {
-            frame,
-            engine,
-            pred,
+            scan,
             key,
             specs: Vec::new(),
             _key: PhantomData,
@@ -524,22 +519,14 @@ where
     /// Executes the single fused scan and finalizes every aggregate.
     pub fn run(self) -> MultiAggResult<K> {
         let MultiAgg {
-            frame,
-            engine,
-            pred,
+            scan,
             key,
             specs,
             _key,
         } = self;
-        let groups: FxHashMap<K, Vec<AggState>> = engine.group_fold(
-            frame.len(),
-            |i| {
-                if pred.test(frame, i) {
-                    key(frame, i)
-                } else {
-                    None
-                }
-            },
+        let frame = scan.frame();
+        let groups: FxHashMap<K, Vec<AggState>> = scan.group(
+            key,
             |acc: &mut Vec<AggState>, run| {
                 // `group_fold` starts groups from Default (an empty Vec);
                 // materialize the per-aggregate states on first touch.
@@ -691,7 +678,7 @@ impl<K: Eq + Hash> MultiAggResult<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Scan;
+    use crate::engine::Engine;
     use spider_snapshot::{Snapshot, SnapshotRecord};
 
     fn rec(

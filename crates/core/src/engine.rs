@@ -31,7 +31,6 @@ use spider_stats::par;
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 /// Minimum rows per morsel and the quantum all morsel sizes are rounded
 /// to. Small enough that a shard of every column of a morsel fits
@@ -320,28 +319,6 @@ impl Engine {
             |a, b| a + b,
         )
     }
-
-    /// Whether any row matches the predicate. Short-circuits: the parallel
-    /// engine walks the morsel tree and every leaf stops once any leaf has
-    /// found a match, the sequential engine returns at the first match.
-    pub fn any(&self, n: usize, pred: impl Fn(usize) -> bool + Sync + Send) -> bool {
-        match self {
-            Engine::Sequential => (0..n).any(pred),
-            Engine::Parallel => {
-                let found = AtomicBool::new(false);
-                let leaf = |hit: bool, rows: Range<usize>| {
-                    let hit = hit || rows.take_while(|_| !found.load(Relaxed)).any(&pred);
-                    if hit {
-                        found.store(true, Relaxed);
-                    }
-                    hit
-                };
-                fold_tree(0..n, morsel_rows_for(n), true, &|| false, &leaf, &|a, b| {
-                    a || b
-                })
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -519,15 +496,6 @@ mod tests {
                 engine.count_where(10 * MORSEL_ROWS, |i| i % 2 == 0),
                 5 * MORSEL_ROWS as u64
             );
-        }
-    }
-
-    #[test]
-    fn any_short_circuits_and_agrees() {
-        for engine in BOTH {
-            assert!(engine.any(100, |i| i == 99));
-            assert!(!engine.any(100, |_| false));
-            assert!(!engine.any(0, |_| true));
         }
     }
 

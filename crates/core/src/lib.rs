@@ -39,10 +39,11 @@
 //!   costs O(changed rows) instead of a full-store refold; the full
 //!   rescan survives as the cross-check oracle
 //!   ([`incremental::IncrementalPipeline::rescan`]);
-//! * [`query::Scan`] — the lazy, fused query surface: filters compose
-//!   into one statically-dispatched predicate evaluated inside the scan,
-//!   and [`agg::MultiAgg`] computes several named aggregates in a single
-//!   pass. Typed [`spider_snapshot::Pred`] filters
+//! * [`query::Scan`] — the query surface: each filter narrows a
+//!   column-at-a-time selection bitmap, terminals read it (a count is a
+//!   popcount, a group-by one morsel-driven pass over the selected
+//!   rows), and [`agg::MultiAgg`] computes several named aggregates in a
+//!   single pass. Typed [`spider_snapshot::Pred`] filters
 //!   ([`query::Scan::filter_pred`]) additionally push down through
 //!   [`loader::FrameLoader::frames_pruned`], skipping whole days and
 //!   colf v3 zones before any column bytes are decoded;

@@ -1077,7 +1077,7 @@ mod tests {
 
     #[test]
     fn pruned_frames_equal_filtered_full_frames() {
-        use crate::query::{FramePred, RowPred, Scan};
+        use crate::query::{FramePred, Scan};
         let (dir, store) = store_with_days("pruned", &[0, 7, 14]);
         let loader = FrameLoader::new(&store).unwrap();
         let preds = [

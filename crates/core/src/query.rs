@@ -1,16 +1,14 @@
-//! Lazy fused scans over snapshot frames — the SparkSQL-flavoured surface
-//! of the pipeline.
+//! Scans over snapshot frames — the SparkSQL-flavoured surface of the
+//! pipeline.
 //!
 //! The study ran interactive SQL over the converted snapshots ("SELECT
 //! gid, COUNT(*) ... GROUP BY gid"-style questions). [`Scan`] provides the
 //! same select → filter → group-by → aggregate shape over a
-//! [`SnapshotFrame`], but **lazily**: `filter`, `files`, and `dirs` only
-//! *compose* a statically-dispatched predicate — nothing runs and no row
-//! list is materialized until a terminal aggregate (`count`, `group_count`,
-//! [`Scan::multi`], ...) executes one fused, morsel-driven pass through
-//! the [`Engine`]. The predicate is evaluated inside the parallel fold,
-//! so a filtered group-by touches each row exactly once, with no
-//! intermediate `Vec<u32>` selection and no sequential filtering step.
+//! [`SnapshotFrame`], evaluated a column at a time: each filter narrows a
+//! [`Selection`] bitmap (one bit per row) when it is composed, and a
+//! terminal aggregate (`count`, `group_count`, [`Scan::multi`], ...) reads
+//! that bitmap. `count` is a popcount; a group-by runs one morsel-driven
+//! pass through the [`Engine`] and keys only the selected rows.
 //!
 //! ```
 //! use spider_core::{Scan, SnapshotFrame};
@@ -22,13 +20,13 @@
 //! }]);
 //! let frame = SnapshotFrame::build(&snapshot);
 //!
-//! // One aggregate: a single fused scan.
+//! // One aggregate: one pass over the selected rows.
 //! let files_per_project = Scan::over(&frame)
 //!     .files()
 //!     .group_count(|f, i| Some(f.gid[i]));
 //! assert_eq!(files_per_project[&42], 1);
 //!
-//! // Several aggregates: still a single fused scan, via `multi`.
+//! // Several aggregates: still one pass, via `multi`.
 //! let stats = Scan::over(&frame)
 //!     .files()
 //!     .multi(|f, i| Some(f.gid[i]))
@@ -40,21 +38,25 @@
 //! assert_eq!(stats.mean(&42, "atime"), Some(9.0));
 //! ```
 //!
-//! Filters come in two forms that compose freely: opaque closures
-//! ([`Scan::filter`], the escape hatch — anything goes, nothing can be
-//! pushed) and typed [`Pred`] trees ([`Scan::filter_pred`]), which are
-//! inspectable and therefore *pushable* — a cold one-shot question hands
-//! the same predicate to [`crate::FrameLoader::frames_pruned`] and
-//! day-level pruning plus colf v3 zone-map pruning happen before the
-//! frame is even built, while the compiled [`FramePred`] keeps per-frame
-//! evaluation exact.
+//! Filters come in three forms that compose freely, each ANDed into the
+//! selection:
 //!
-//! A compiled [`FramePred`] evaluates two ways: row-at-a-time through
-//! [`RowPred::test`] (what `Scan` fuses into its morsel loop, and the
-//! oracle), and column-at-a-time through [`FramePred::select`], which
-//! turns each leaf into one pass over a flat column and combines the
-//! leaves' [`Selection`] bitmaps word-wise — the kernel `spider-serve`
-//! runs over its resident full frames.
+//! * typed [`Pred`] trees ([`Scan::filter_pred`]) compile to a
+//!   [`FramePred`] and run [`FramePred::select`]: every leaf is one pass
+//!   down a flat column, and `And`/`Or` combine the leaves' bitmaps a
+//!   word (64 rows) at a time. Because a `Pred` is inspectable it is also
+//!   *pushable* — a cold one-shot question hands the same predicate to
+//!   [`crate::FrameLoader::frames_pruned`], and day-level plus colf v3
+//!   zone-map pruning happen before the frame is even built;
+//! * [`Scan::files`] and [`Scan::dirs`] read the `is_file` column;
+//! * opaque closures ([`Scan::filter`], the escape hatch — anything goes,
+//!   nothing can be pushed) run as a second pass on the engine's morsel
+//!   tree, clearing bits: the closure is called once for each row the
+//!   earlier filters kept and never for any other.
+//!
+//! [`FramePred::select`] is also the kernel `spider-serve` runs over its
+//! resident full frames. Its row-at-a-time form, [`FramePred::test`], is
+//! the oracle the equivalence suites hold it to; no scan calls it.
 //!
 //! The accounts-database join of §4.1.1 is the [`crate::AnalysisContext`]
 //! passed into key functions.
@@ -65,79 +67,10 @@ use crate::frame::SnapshotFrame;
 use rustc_hash::FxHashMap;
 use spider_snapshot::Pred;
 use spider_telemetry as telemetry;
+use std::ops::Range;
 
-// ---------------------------------------------------------------------------
-// Predicate composition
-// ---------------------------------------------------------------------------
-
-/// A composable row predicate, statically dispatched so filter stacks fuse
-/// into the scan loop with no boxing or indirect calls.
-pub trait RowPred: Sync + Send {
-    /// Whether row `i` of `frame` is selected.
-    fn test(&self, frame: &SnapshotFrame, i: usize) -> bool;
-}
-
-/// Selects every row (the starting predicate of [`Scan::over`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct All;
-
-impl RowPred for All {
-    #[inline]
-    fn test(&self, _frame: &SnapshotFrame, _i: usize) -> bool {
-        true
-    }
-}
-
-/// Selects regular files.
-#[derive(Debug, Clone, Copy)]
-pub struct FilesOnly;
-
-impl RowPred for FilesOnly {
-    #[inline]
-    fn test(&self, frame: &SnapshotFrame, i: usize) -> bool {
-        frame.is_file[i]
-    }
-}
-
-/// Selects directories.
-#[derive(Debug, Clone, Copy)]
-pub struct DirsOnly;
-
-impl RowPred for DirsOnly {
-    #[inline]
-    fn test(&self, frame: &SnapshotFrame, i: usize) -> bool {
-        !frame.is_file[i]
-    }
-}
-
-/// Wraps a closure as a predicate.
-#[derive(Debug, Clone, Copy)]
-pub struct FnPred<F>(pub F);
-
-impl<F> RowPred for FnPred<F>
-where
-    F: Fn(&SnapshotFrame, usize) -> bool + Sync + Send,
-{
-    #[inline]
-    fn test(&self, frame: &SnapshotFrame, i: usize) -> bool {
-        (self.0)(frame, i)
-    }
-}
-
-/// Conjunction of two predicates, short-circuiting left to right.
-#[derive(Debug, Clone, Copy)]
-pub struct And<A, B>(pub A, pub B);
-
-impl<A: RowPred, B: RowPred> RowPred for And<A, B> {
-    #[inline]
-    fn test(&self, frame: &SnapshotFrame, i: usize) -> bool {
-        self.0.test(frame, i) && self.1.test(frame, i)
-    }
-}
-
-/// Telemetry counter names for the first predicate stages of a scan;
-/// deeper stacks all charge the last name. Static so the per-stage
-/// counters resolve without allocation.
+/// Telemetry counter names for the first filter stages of a scan; deeper
+/// stacks all charge the last name.
 const SCAN_STAGE_NAMES: [&str; 6] = [
     "scan.stage0.matched",
     "scan.stage1.matched",
@@ -146,39 +79,6 @@ const SCAN_STAGE_NAMES: [&str; 6] = [
     "scan.stage4.matched",
     "scan.stage5.matched",
 ];
-
-/// A predicate stage that counts its matches into the telemetry
-/// registry. The counter handle is resolved once, at *composition*
-/// time — and only when telemetry was enabled then, so a disabled
-/// pipeline pays one `Option` branch per row and no atomics.
-#[derive(Debug, Clone)]
-pub struct Counted<P> {
-    inner: P,
-    matched: Option<telemetry::Counter>,
-}
-
-impl<P> Counted<P> {
-    fn new(inner: P, stage: usize) -> Counted<P> {
-        let tel = telemetry::global();
-        let matched = tel
-            .is_enabled()
-            .then(|| tel.counter(SCAN_STAGE_NAMES[stage.min(SCAN_STAGE_NAMES.len() - 1)]));
-        Counted { inner, matched }
-    }
-}
-
-impl<P: RowPred> RowPred for Counted<P> {
-    #[inline]
-    fn test(&self, frame: &SnapshotFrame, i: usize) -> bool {
-        let hit = self.inner.test(frame, i);
-        if hit {
-            if let Some(counter) = &self.matched {
-                counter.incr();
-            }
-        }
-        hit
-    }
-}
 
 /// A typed [`Pred`] compiled against one frame: the `Day` leaf folds to
 /// a constant, extension names resolve to this frame's interned ids
@@ -253,8 +153,7 @@ impl FramePred {
     /// every leaf is one branch-free range compare down a flat
     /// `u32`/`u64`/`u16` column, and `And`/`Or` combine their children's
     /// bitmaps a word (64 rows) at a time. Bit `i` of the result equals
-    /// [`RowPred::test`]`(frame, i)` — the row form is this kernel's
-    /// oracle (`pushdown_equivalence`, `prop_pushdown`).
+    /// [`FramePred::test`]`(frame, i)`, the row-at-a-time oracle.
     pub fn select(&self, frame: &SnapshotFrame) -> Selection {
         match self {
             FramePred::Const(b) => Selection::filled(frame.len(), *b),
@@ -275,6 +174,25 @@ impl FramePred {
         }
     }
 
+    /// Whether row `i` of `frame` matches, one row at a time: the oracle
+    /// [`FramePred::select`] is held to (`pushdown_equivalence`,
+    /// `prop_pushdown`, serve's `fold_equivalence`). Scans never call it.
+    pub fn test(&self, frame: &SnapshotFrame, i: usize) -> bool {
+        match self {
+            FramePred::Const(b) => *b,
+            FramePred::Uid(lo, hi) => (*lo..=*hi).contains(&frame.uid[i]),
+            FramePred::Gid(lo, hi) => (*lo..=*hi).contains(&frame.gid[i]),
+            FramePred::Depth(lo, hi) => (*lo..=*hi).contains(&(frame.depth[i] as u32)),
+            FramePred::Stripes(lo, hi) => (*lo..=*hi).contains(&(frame.stripe_count[i] as u32)),
+            FramePred::Mtime(lo, hi) => (*lo..=*hi).contains(&frame.mtime[i]),
+            FramePred::Atime(lo, hi) => (*lo..=*hi).contains(&frame.atime[i]),
+            FramePred::ExtIn(ids) => ids.binary_search(&frame.ext[i]).is_ok(),
+            FramePred::ExtNone => frame.ext[i] == crate::frame::EXT_NONE,
+            FramePred::And(ps) => ps.iter().all(|p| p.test(frame, i)),
+            FramePred::Or(ps) => ps.iter().any(|p| p.test(frame, i)),
+        }
+    }
+
     /// Word-wise `op` of the children's selections; `empty` is what a
     /// childless node selects.
     fn combine(
@@ -288,19 +206,16 @@ impl FramePred {
             return Selection::filled(frame.len(), empty);
         };
         for child in selections {
-            acc.words
-                .iter_mut()
-                .zip(&child.words)
-                .for_each(|(a, &c)| op(a, c));
+            acc.apply(&child, &op);
         }
         acc
     }
 }
 
-/// Which rows of one frame a [`FramePred`] selected: bit `i % 64` of
-/// word `i / 64` is row `i`. Bits at and beyond the frame's length are
-/// always zero, so word-wise combination and popcounts need no tail
-/// handling.
+/// Which rows of one frame a [`FramePred`] or a [`Scan`] selected: bit
+/// `i % 64` of word `i / 64` is row `i`. Bits at and beyond the frame's
+/// length are always zero, so word-wise combination and popcounts need
+/// no tail handling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Selection {
     words: Vec<u64>,
@@ -365,23 +280,47 @@ impl Selection {
             })
         })
     }
-}
 
-impl RowPred for FramePred {
-    #[inline]
-    fn test(&self, frame: &SnapshotFrame, i: usize) -> bool {
-        match self {
-            FramePred::Const(b) => *b,
-            FramePred::Uid(lo, hi) => (*lo..=*hi).contains(&frame.uid[i]),
-            FramePred::Gid(lo, hi) => (*lo..=*hi).contains(&frame.gid[i]),
-            FramePred::Depth(lo, hi) => (*lo..=*hi).contains(&(frame.depth[i] as u32)),
-            FramePred::Stripes(lo, hi) => (*lo..=*hi).contains(&(frame.stripe_count[i] as u32)),
-            FramePred::Mtime(lo, hi) => (*lo..=*hi).contains(&frame.mtime[i]),
-            FramePred::Atime(lo, hi) => (*lo..=*hi).contains(&frame.atime[i]),
-            FramePred::ExtIn(ids) => ids.binary_search(&frame.ext[i]).is_ok(),
-            FramePred::ExtNone => frame.ext[i] == crate::frame::EXT_NONE,
-            FramePred::And(ps) => ps.iter().all(|p| p.test(frame, i)),
-            FramePred::Or(ps) => ps.iter().any(|p| p.test(frame, i)),
+    /// Word-wise `op` of `other` into this selection; both were taken
+    /// over the same frame.
+    fn apply(&mut self, other: &Selection, op: impl Fn(&mut u64, u64)) {
+        debug_assert_eq!(self.len, other.len);
+        self.words
+            .iter_mut()
+            .zip(&other.words)
+            .for_each(|(a, &c)| op(a, c));
+    }
+
+    /// This selection with every row `keep` rejects cleared, calling
+    /// `keep` once per selected row and never for any other. Runs on
+    /// `engine`'s morsel tree: leaves start on multiples of
+    /// [`crate::engine::MORSEL_ROWS`], so each owns whole words and the
+    /// leaves' words concatenate in row order.
+    fn retain(&self, engine: Engine, keep: impl Fn(usize) -> bool + Sync + Send) -> Selection {
+        let words = engine.fold_morsels(
+            self.len,
+            Vec::new,
+            |mut words: Vec<u64>, rows| {
+                debug_assert!(rows.start.is_multiple_of(64));
+                for w in rows.start / 64..rows.end.div_ceil(64) {
+                    let (mut bits, mut kept) = (self.words[w], 0u64);
+                    while bits != 0 {
+                        let bit = bits.trailing_zeros() as usize;
+                        kept |= (keep(w * 64 + bit) as u64) << bit;
+                        bits &= bits - 1;
+                    }
+                    words.push(kept);
+                }
+                words
+            },
+            |mut left, mut right| {
+                left.append(&mut right);
+                left
+            },
+        );
+        Selection {
+            words,
+            len: self.len,
         }
     }
 }
@@ -390,41 +329,42 @@ impl RowPred for FramePred {
 // Scan
 // ---------------------------------------------------------------------------
 
-/// A lazy, fused scan over one frame.
+/// A scan over one frame: the frame, an engine, and the rows the filters
+/// composed so far selected.
 ///
-/// Holds only a frame reference, an engine, and a composed predicate;
-/// terminal aggregates run one morsel-driven pass. Because both engines
-/// reduce over the same fixed morsel tree, every aggregate — including
-/// floating-point means and sums — is bit-identical between
-/// [`Engine::Parallel`] and [`Engine::Sequential`].
-#[derive(Clone, Copy)]
-pub struct Scan<'f, P = All> {
+/// Each filter narrows the selection when it is composed; terminal
+/// aggregates only read it, so one scan can answer several of them.
+/// Because both engines reduce over the same fixed morsel tree, every
+/// aggregate — including floating-point means and sums — is
+/// bit-identical between [`Engine::Parallel`] and [`Engine::Sequential`].
+#[derive(Clone)]
+pub struct Scan<'f> {
     frame: &'f SnapshotFrame,
     engine: Engine,
-    pred: P,
-    /// Number of predicate stages composed so far — indexes the
-    /// per-stage telemetry counters.
+    /// The selected rows; `None` until the first filter, when every row
+    /// is selected.
+    selected: Option<Selection>,
+    /// Number of filter stages composed so far — indexes the per-stage
+    /// telemetry counters.
     stage: usize,
 }
 
-impl<'f> Scan<'f, All> {
+impl<'f> Scan<'f> {
     /// Starts a scan selecting every row, with the parallel engine.
-    pub fn over(frame: &'f SnapshotFrame) -> Scan<'f, All> {
+    pub fn over(frame: &'f SnapshotFrame) -> Scan<'f> {
         Self::with_engine(frame, Engine::Parallel)
     }
 
     /// Starts a scan with an explicit engine.
-    pub fn with_engine(frame: &'f SnapshotFrame, engine: Engine) -> Scan<'f, All> {
+    pub fn with_engine(frame: &'f SnapshotFrame, engine: Engine) -> Scan<'f> {
         Scan {
             frame,
             engine,
-            pred: All,
+            selected: None,
             stage: 0,
         }
     }
-}
 
-impl<'f, P: RowPred> Scan<'f, P> {
     /// The frame under scan.
     pub fn frame(&self) -> &'f SnapshotFrame {
         self.frame
@@ -436,84 +376,117 @@ impl<'f, P: RowPred> Scan<'f, P> {
         self
     }
 
-    /// Adds a filter. Purely compositional: the predicate is evaluated
-    /// inside the fused scan of the terminal aggregate, not here. When
-    /// telemetry is enabled at composition time, rows this stage passes
-    /// are counted under `scan.stage<N>.matched`.
-    pub fn filter<F>(self, pred: F) -> Scan<'f, And<P, Counted<FnPred<F>>>>
+    /// Installs the selection of the next filter stage and charges the
+    /// rows it keeps to `scan.stage<N>.matched`: one popcount per
+    /// composed stage, however many terminals then read the scan.
+    fn staged(mut self, selected: Selection) -> Self {
+        let name = SCAN_STAGE_NAMES[self.stage.min(SCAN_STAGE_NAMES.len() - 1)];
+        telemetry::global().incr(name, selected.count());
+        self.selected = Some(selected);
+        self.stage += 1;
+        self
+    }
+
+    /// ANDs `stage` into the selection as the next filter stage.
+    fn narrow(mut self, stage: Selection) -> Self {
+        let selected = match self.selected.take() {
+            Some(mut selected) => {
+                selected.apply(&stage, |a, c| *a &= c);
+                selected
+            }
+            None => stage,
+        };
+        self.staged(selected)
+    }
+
+    /// Adds a closure filter: a pass on the engine's morsel tree that
+    /// calls `keep` once for each row the earlier filters selected (never
+    /// for any other) and clears the rows it rejects. When telemetry is
+    /// enabled, the rows this stage keeps are counted under
+    /// `scan.stage<N>.matched`.
+    pub fn filter<F>(mut self, keep: F) -> Self
     where
         F: Fn(&SnapshotFrame, usize) -> bool + Sync + Send,
     {
-        Scan {
-            frame: self.frame,
-            engine: self.engine,
-            pred: And(self.pred, Counted::new(FnPred(pred), self.stage)),
-            stage: self.stage + 1,
-        }
+        let frame = self.frame;
+        let prior = self
+            .selected
+            .take()
+            .unwrap_or_else(|| Selection::filled(frame.len(), true));
+        let selected = prior.retain(self.engine, |i| keep(frame, i));
+        self.staged(selected)
     }
 
-    /// Adds a **typed** filter. Like [`Scan::filter`], this is purely
-    /// compositional, but because a [`Pred`] is inspectable it is also
-    /// *pushable*: hand the same predicate to
-    /// [`crate::FrameLoader::frame_pruned`] and the loader skips days
-    /// and zones before the frame is ever built, while this compiled
-    /// per-row form keeps the scan result exact. Typed and closure
-    /// filters compose freely in one scan.
-    pub fn filter_pred(self, pred: &Pred) -> Scan<'f, And<P, Counted<FramePred>>> {
-        let compiled = FramePred::compile(pred, self.frame);
-        Scan {
-            frame: self.frame,
-            engine: self.engine,
-            pred: And(self.pred, Counted::new(compiled, self.stage)),
-            stage: self.stage + 1,
-        }
+    /// Adds a **typed** filter, evaluated column-at-a-time by
+    /// [`FramePred::select`]. Because a [`Pred`] is inspectable it is
+    /// also *pushable*: hand the same predicate to
+    /// [`crate::FrameLoader::frame_pruned`] and the loader skips days and
+    /// zones before the frame is ever built, while this compiled form
+    /// keeps the scan result exact. Typed and closure filters compose
+    /// freely in one scan.
+    pub fn filter_pred(self, pred: &Pred) -> Self {
+        let stage = FramePred::compile(pred, self.frame).select(self.frame);
+        self.narrow(stage)
     }
 
     /// Keeps only regular files.
-    pub fn files(self) -> Scan<'f, And<P, Counted<FilesOnly>>> {
-        Scan {
-            frame: self.frame,
-            engine: self.engine,
-            pred: And(self.pred, Counted::new(FilesOnly, self.stage)),
-            stage: self.stage + 1,
-        }
+    pub fn files(self) -> Self {
+        let stage = Selection::of(&self.frame.is_file, |file| file);
+        self.narrow(stage)
     }
 
     /// Keeps only directories.
-    pub fn dirs(self) -> Scan<'f, And<P, Counted<DirsOnly>>> {
-        Scan {
-            frame: self.frame,
-            engine: self.engine,
-            pred: And(self.pred, Counted::new(DirsOnly, self.stage)),
-            stage: self.stage + 1,
+    pub fn dirs(self) -> Self {
+        let stage = Selection::of(&self.frame.is_file, |file| !file);
+        self.narrow(stage)
+    }
+
+    /// Groups the selected rows by `key` through [`Engine::group_fold`]
+    /// (see there for `fold` and `merge`): the one place a group-by
+    /// reads the selection. Unselected rows key to `None`; an unfiltered
+    /// scan keys every row without testing a bit.
+    pub(crate) fn group<K, A>(
+        &self,
+        key: impl Fn(&SnapshotFrame, usize) -> Option<K> + Sync + Send,
+        fold: impl Fn(&mut A, Range<usize>) + Sync + Send,
+        merge: impl Fn(&mut A, A) + Sync + Send,
+    ) -> FxHashMap<K, A>
+    where
+        K: Eq + std::hash::Hash + Send,
+        A: Default + Send,
+    {
+        let (frame, n) = (self.frame, self.frame.len());
+        match &self.selected {
+            None => self.engine.group_fold(n, |i| key(frame, i), fold, merge),
+            Some(selected) => self.engine.group_fold(
+                n,
+                |i| {
+                    if selected.contains(i) {
+                        key(frame, i)
+                    } else {
+                        None
+                    }
+                },
+                fold,
+                merge,
+            ),
         }
     }
 
-    /// Number of selected rows (one fused counting pass).
+    /// Number of selected rows (a popcount).
     pub fn count(&self) -> u64 {
-        let (frame, pred) = (self.frame, &self.pred);
-        self.engine
-            .count_where(frame.len(), |i| pred.test(frame, i))
-    }
-
-    /// Whether any row is selected. Short-circuits on the first match.
-    pub fn any(&self) -> bool {
-        let (frame, pred) = (self.frame, &self.pred);
-        self.engine.any(frame.len(), |i| pred.test(frame, i))
-    }
-
-    /// Whether no row is selected.
-    pub fn is_empty(&self) -> bool {
-        !self.any()
+        self.selected
+            .as_ref()
+            .map_or(self.frame.len() as u64, Selection::count)
     }
 
     /// Extracts a column from the selection, in row order.
     pub fn column<T>(&self, get: impl Fn(&SnapshotFrame, usize) -> T) -> Vec<T> {
-        let (frame, pred) = (self.frame, &self.pred);
-        (0..frame.len())
-            .filter(|&i| pred.test(frame, i))
-            .map(|i| get(frame, i))
-            .collect()
+        let frame = self.frame;
+        match &self.selected {
+            Some(selected) => selected.rows().map(|i| get(frame, i)).collect(),
+            None => (0..frame.len()).map(|i| get(frame, i)).collect(),
+        }
     }
 
     /// `GROUP BY key -> COUNT(*)`. Rows whose key is `None` are skipped.
@@ -524,16 +497,8 @@ impl<'f, P: RowPred> Scan<'f, P> {
     where
         K: Eq + std::hash::Hash + Send,
     {
-        let (frame, pred) = (self.frame, &self.pred);
-        self.engine.group_fold(
-            frame.len(),
-            |i| {
-                if pred.test(frame, i) {
-                    key(frame, i)
-                } else {
-                    None
-                }
-            },
+        self.group(
+            key,
             |acc: &mut u64, run| *acc += run.len() as u64,
             |a, b| *a += b,
         )
@@ -548,16 +513,9 @@ impl<'f, P: RowPred> Scan<'f, P> {
     where
         K: Eq + std::hash::Hash + Send,
     {
-        let (frame, pred) = (self.frame, &self.pred);
-        self.engine.group_fold(
-            frame.len(),
-            |i| {
-                if pred.test(frame, i) {
-                    key(frame, i)
-                } else {
-                    None
-                }
-            },
+        let frame = self.frame;
+        self.group(
+            key,
             |acc: &mut f64, run| {
                 for i in run {
                     *acc += value(frame, i);
@@ -576,16 +534,9 @@ impl<'f, P: RowPred> Scan<'f, P> {
     where
         K: Eq + std::hash::Hash + Send,
     {
-        let (frame, pred) = (self.frame, &self.pred);
-        let sums: FxHashMap<K, (f64, u64)> = self.engine.group_fold(
-            frame.len(),
-            |i| {
-                if pred.test(frame, i) {
-                    key(frame, i)
-                } else {
-                    None
-                }
-            },
+        let frame = self.frame;
+        let sums: FxHashMap<K, (f64, u64)> = self.group(
+            key,
             |acc: &mut (f64, u64), run| {
                 acc.1 += run.len() as u64;
                 for i in run {
@@ -611,16 +562,9 @@ impl<'f, P: RowPred> Scan<'f, P> {
     where
         K: Eq + std::hash::Hash + Send,
     {
-        let (frame, pred) = (self.frame, &self.pred);
-        let mins: FxHashMap<K, Option<u64>> = self.engine.group_fold(
-            frame.len(),
-            |i| {
-                if pred.test(frame, i) {
-                    key(frame, i)
-                } else {
-                    None
-                }
-            },
+        let frame = self.frame;
+        let mins: FxHashMap<K, Option<u64>> = self.group(
+            key,
             |acc: &mut Option<u64>, run| {
                 for i in run {
                     let v = value(frame, i);
@@ -649,16 +593,9 @@ impl<'f, P: RowPred> Scan<'f, P> {
     where
         K: Eq + std::hash::Hash + Send,
     {
-        let (frame, pred) = (self.frame, &self.pred);
-        self.engine.group_fold(
-            frame.len(),
-            |i| {
-                if pred.test(frame, i) {
-                    key(frame, i)
-                } else {
-                    None
-                }
-            },
+        let frame = self.frame;
+        self.group(
+            key,
             |acc: &mut u64, run| {
                 for i in run {
                     *acc = (*acc).max(value(frame, i));
@@ -682,16 +619,9 @@ impl<'f, P: RowPred> Scan<'f, P> {
         K: Eq + std::hash::Hash + Send,
         A: Default + Send,
     {
-        let (frame, pred) = (self.frame, &self.pred);
-        self.engine.group_fold(
-            frame.len(),
-            |i| {
-                if pred.test(frame, i) {
-                    key(frame, i)
-                } else {
-                    None
-                }
-            },
+        let frame = self.frame;
+        self.group(
+            key,
             |acc: &mut A, run| {
                 for i in run {
                     fold(acc, frame, i);
@@ -718,13 +648,13 @@ impl<'f, P: RowPred> Scan<'f, P> {
     }
 
     /// Starts a [`MultiAgg`] builder: several named aggregates, one group
-    /// key, one fused scan.
-    pub fn multi<K, KF>(self, key: KF) -> MultiAgg<'f, K, P, KF>
+    /// key, one pass over the selected rows.
+    pub fn multi<K, KF>(self, key: KF) -> MultiAgg<'f, K, KF>
     where
         K: Eq + std::hash::Hash + Send,
         KF: Fn(&SnapshotFrame, usize) -> Option<K> + Sync + Send,
     {
-        MultiAgg::new(self.frame, self.engine, self.pred, key)
+        MultiAgg::new(self, key)
     }
 }
 
@@ -793,16 +723,6 @@ mod tests {
             Scan::over(&f).files().filter(|f, i| f.gid[i] == 10).count(),
             2
         );
-    }
-
-    #[test]
-    fn any_and_is_empty_short_circuit() {
-        let f = frame();
-        assert!(Scan::over(&f).files().any());
-        assert!(!Scan::over(&f).files().is_empty());
-        let none = Scan::over(&f).filter(|f, i| f.gid[i] == 99);
-        assert!(!none.any());
-        assert!(none.is_empty());
     }
 
     #[test]
@@ -904,7 +824,7 @@ mod tests {
     fn column_extraction() {
         let f = frame();
         let atimes = Scan::over(&f).files().column(|f, i| f.atime[i]);
-        // Lazy scans keep row order — no sort needed.
+        // Selections keep row order — no sort needed.
         assert_eq!(atimes, vec![10, 20, 30]);
     }
 

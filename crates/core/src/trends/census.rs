@@ -251,7 +251,7 @@ impl SnapshotVisitor for UniqueCensus {
             .map(|r| self.seen.insert(path_hash(&r.path)))
             .collect();
 
-        // Phase 2: one fused scan — filter on freshness, group by domain,
+        // Phase 2: one scan — filter on freshness, group by domain,
         // fold every census statistic into one shard per domain.
         let analysis_ctx = &self.ctx;
         let shards: FxHashMap<u8, CensusShard> = Scan::with_engine(frame, self.engine)

@@ -2,14 +2,13 @@
 //! arbitrary `Pred` trees, `FrameColumns::decode_pruned` returns exactly
 //! the rows `decode_lossy` + `pred_matches` keeps — at any zone size,
 //! and with the zone map (or any other single section) corrupted — and
-//! `FramePred::select` marks exactly the rows `RowPred::test` accepts.
+//! `FramePred::select` marks exactly the rows `FramePred::test` accepts.
 //! The deterministic twin lives in `tests/pushdown_equivalence.rs`.
 
 #[path = "../../../tests/support/cases.rs"]
 mod cases;
 
 use cases::{check, Gen};
-use spider_core::query::RowPred;
 use spider_core::{FramePred, Scan, SnapshotFrame};
 use spider_snapshot::colf::{self, section_table};
 use spider_snapshot::columns::FrameColumns;

@@ -14,8 +14,9 @@ mod cases;
 
 use cases::{check, Gen};
 use rustc_hash::FxHashMap;
-use spider_core::{Engine, Pred, Scan, SnapshotFrame};
+use spider_core::{Engine, FramePred, Pred, Scan, SnapshotFrame};
 use spider_snapshot::{Snapshot, SnapshotRecord};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 /// A runtime description of one filter, applied both to the fused scan
 /// (as a composed predicate) and to the naive reference loop.
@@ -110,9 +111,8 @@ fn clustered_frame(g: &mut Gen) -> SnapshotFrame {
     SnapshotFrame::build(&Snapshot::new(0, 0, records))
 }
 
-/// Applies up to three runtime filters as composed static predicates.
-/// Each arm has a distinct `Scan<_, P>` type — the composition is still
-/// zero-boxing, the test just enumerates the shapes.
+/// Applies up to three runtime filters as stacked closure filters, one
+/// arm per stack depth.
 fn fused_count(frame: &SnapshotFrame, engine: Engine, specs: &[FilterSpec]) -> u64 {
     let scan = Scan::with_engine(frame, engine);
     match *specs {
@@ -202,20 +202,108 @@ fn grouped_aggregates_case(g: &mut Gen, frame: &SnapshotFrame) {
     }
 }
 
-/// `any` / `is_empty` agree with the reference and short-circuiting
-/// changes nothing across engines.
+/// A closure filter is called exactly once for each row the earlier
+/// stages selected and never for any other, under both engines, and the
+/// terminals that read the scan afterwards do not call it again.
 #[test]
-fn any_matches_reference() {
-    check("any_matches_reference", 256, |g| {
+fn closure_filter_sees_each_selected_row_once() {
+    check("closure_filter_sees_each_selected_row_once", 64, |g| {
         let frame = frame(g);
-        let spec = filter(g);
-        let expected = !naive_rows(&frame, &[spec]).is_empty();
-        for engine in [Engine::Parallel, Engine::Sequential] {
-            let scan = Scan::with_engine(&frame, engine).filter(move |f, i| spec.matches(f, i));
-            assert_eq!(scan.any(), expected);
-            assert_eq!(scan.is_empty(), !expected);
-        }
+        closure_contract_case(g, &frame);
     });
+    check(
+        "closure_filter_sees_each_selected_row_once_clustered",
+        16,
+        |g| {
+            let frame = clustered_frame(g);
+            closure_contract_case(g, &frame);
+        },
+    );
+}
+
+fn closure_contract_case(g: &mut Gen, frame: &SnapshotFrame) {
+    let (earlier, later) = (filter(g), filter(g));
+    let cutoff = g.int(0u64..5_000);
+    let selected: Vec<bool> = (0..frame.len())
+        .map(|i| earlier.matches(frame, i) && frame.mtime[i] <= cutoff)
+        .collect();
+    let expected = naive_rows(frame, &[earlier, later])
+        .into_iter()
+        .filter(|&i| frame.mtime[i] <= cutoff)
+        .count() as u64;
+    for engine in [Engine::Parallel, Engine::Sequential] {
+        let calls: Vec<AtomicU32> = (0..frame.len()).map(|_| AtomicU32::new(0)).collect();
+        let scan = Scan::with_engine(frame, engine)
+            .filter(move |f, i| earlier.matches(f, i))
+            .filter_pred(&Pred::mtime(..=cutoff))
+            .filter(|f, i| {
+                assert!(selected[i], "closure called on rejected row {i}");
+                calls[i].fetch_add(1, Relaxed);
+                later.matches(f, i)
+            });
+        assert_eq!(scan.count(), expected, "{engine:?}");
+        let grouped = scan.group_count(|f, i| Some(f.gid[i]));
+        assert_eq!(grouped.values().sum::<u64>(), expected, "{engine:?}");
+        for (i, calls) in calls.iter().enumerate() {
+            assert_eq!(
+                calls.load(Relaxed),
+                u32::from(selected[i]),
+                "{engine:?} row {i}"
+            );
+        }
+    }
+}
+
+/// `n` rows, files and directories mixed, each path unique.
+fn sized_frame(n: usize) -> SnapshotFrame {
+    let mut g = Gen::new(n as u64);
+    let records = (0..n)
+        .map(|i| {
+            let mut r = record(&mut g);
+            r.path = format!("{}_{i}", r.path);
+            r
+        })
+        .collect();
+    SnapshotFrame::build(&Snapshot::new(0, 0, records))
+}
+
+/// No bit at or beyond a selection's length is ever set, on frames
+/// around the word (64-row) and morsel (4,096-row) edges: filled
+/// selections, `And`/`Or` combinations and closure passes all leave the
+/// tail clear, so popcounts count only real rows.
+#[test]
+fn selection_tails_stay_clear() {
+    for n in [0usize, 1, 63, 64, 65, 4_095, 4_097] {
+        let frame = sized_frame(n);
+        let preds = [
+            FramePred::Const(true),
+            FramePred::Const(false),
+            FramePred::And(vec![]),
+            FramePred::Or(vec![]),
+            FramePred::And(vec![FramePred::Const(true), FramePred::Gid(0, u32::MAX)]),
+            FramePred::Or(vec![FramePred::Const(false), FramePred::Mtime(0, 2_500)]),
+            FramePred::Or(vec![FramePred::Const(true), FramePred::ExtNone]),
+        ];
+        for pred in &preds {
+            let selected = pred.select(&frame);
+            let expected = (0..n).filter(|&i| pred.test(&frame, i)).count();
+            assert_eq!(selected.len(), n, "{pred:?} n={n}");
+            assert!(selected.rows().all(|i| i < n), "{pred:?} n={n}");
+            assert_eq!(selected.count(), expected as u64, "{pred:?} n={n}");
+        }
+        for engine in [Engine::Parallel, Engine::Sequential] {
+            let all = Scan::with_engine(&frame, engine).filter(|_, _| true);
+            assert_eq!(all.count(), n as u64, "{engine:?} n={n}");
+            let files = (0..n).filter(|&i| frame.is_file[i]).count() as u64;
+            let kept = Scan::with_engine(&frame, engine)
+                .files()
+                .filter(|_, _| true)
+                .filter_pred(&Pred::gid(..));
+            assert_eq!(kept.count(), files, "{engine:?} n={n}");
+            let none = Scan::with_engine(&frame, engine).filter(|_, _| false);
+            assert_eq!(none.count(), 0, "{engine:?} n={n}");
+        }
+    }
 }
 
 /// One-pass `MultiAgg` equals the individual single-aggregate queries

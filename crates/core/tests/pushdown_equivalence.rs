@@ -3,10 +3,9 @@
 //! return exactly the rows a full load plus `Scan::filter_pred` keeps —
 //! across multi-day stores, multi-zone files, and zone-map corruption.
 //! The column-at-a-time `FramePred::select` is held to its row-wise
-//! oracle `RowPred::test` here too. `tests/prop_pushdown.rs` adds the
+//! oracle `FramePred::test` here too. `tests/prop_pushdown.rs` adds the
 //! randomized twin.
 
-use spider_core::query::RowPred;
 use spider_core::{FrameLoader, FramePred, Pred, Scan, SnapshotFrame};
 use spider_snapshot::colf::{self, section_table};
 use spider_snapshot::columns::FrameColumns;

@@ -1,7 +1,7 @@
 //! The served fold — resident full frame → `FramePred::select` →
 //! integer-keyed `AccState` → render — against a row-at-a-time oracle
 //! that shares none of it: frames built from *rows*
-//! (`SnapshotFrame::build` over `get_lossy`), `RowPred::test` per row,
+//! (`SnapshotFrame::build` over `get_lossy`), `FramePred::test` per row,
 //! string group keys from the first row on. Bytes are compared, not
 //! values: `result`, `rows`, `days_scanned` and the notes of every
 //! `sample_query` shape × parameter band × tenant, over a store with a
@@ -11,7 +11,6 @@
 //!
 //! Seeds come from `SPIDER_SERVE_SEED` when set, else three defaults.
 
-use spider_core::query::RowPred;
 use spider_core::{FramePred, SnapshotFrame};
 use spider_serve::proto::{AggSpec, GroupBy, Query};
 use spider_serve::{sample_query, EngineConfig, QueryEngine};

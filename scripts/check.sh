@@ -39,10 +39,13 @@ cargo test -q --locked -p spider-core --test prop_frame
 # The group fold folds a run of equal keys at a time; it must equal
 # its row-at-a-time oracle bit for bit, on long runs across morsel
 # edges and on keys that never repeat, and the per-stage scan counters
-# must count each passed row once.
+# must count each passed row once. Every `Scan` terminal must equal a
+# materialized reference (row list, then per-filter `retain`) under
+# both engines, and a closure filter must see each selected row once.
 echo "== group runs + scan counters"
 cargo test -q --locked -p spider-core --test group_runs
 cargo test -q --locked -p spider-core --test scan_counters
+cargo test -q --locked -p spider-core --test prop_query
 # Predicate pushdown must return exactly the rows the closure path
 # keeps, including under injected zone-map corruption; the golden
 # fixtures pin the v2/v3 encoders byte-for-byte, keep the frozen v1
