@@ -126,7 +126,7 @@ const PER_ROW_BLOCK: usize = 256;
 /// [`PER_ROW_BLOCK`] rows to [`fold_rows`], then looks for runs again.
 /// Either way each row is keyed once and folded, in ascending order, into
 /// the entry its key names, so the result does not depend on the mode.
-fn fold_runs<K, A>(
+pub(crate) fn fold_runs<K, A>(
     acc: &mut FxHashMap<K, A>,
     rows: Range<usize>,
     key: &impl Fn(usize) -> Option<K>,
@@ -235,7 +235,7 @@ impl Engine {
     /// one key, which it must fold in ascending order. Snapshots are
     /// path-sorted, so a project's or a user's rows arrive together and a
     /// leaf probes its map once per run instead of once per row. `key` is
-    /// called exactly once per row.
+    /// called once per row (in a filtered [`crate::Scan`], per *selected* row).
     ///
     /// Runs morsel-driven: each morsel of rows builds a private
     /// `FxHashMap` shard, and shards merge pairwise in a fixed order, so
@@ -254,11 +254,25 @@ impl Engine {
         K: Eq + Hash + Send,
         A: Default + Send,
     {
+        self.fold_shards(n, |acc, rows| fold_runs(acc, rows, &key, &fold), merge)
+    }
+
+    /// [`Engine::group_fold`] with `leaf` folding each leaf's rows into its shard.
+    pub(crate) fn fold_shards<K, A>(
+        &self,
+        n: usize,
+        leaf: impl Fn(&mut FxHashMap<K, A>, Range<usize>) + Sync + Send,
+        merge: impl Fn(&mut A, A) + Sync + Send,
+    ) -> FxHashMap<K, A>
+    where
+        K: Eq + Hash + Send,
+        A: Default + Send,
+    {
         self.fold_morsels(
             n,
             FxHashMap::default,
             |mut acc: FxHashMap<K, A>, rows| {
-                fold_runs(&mut acc, rows, &key, &fold);
+                leaf(&mut acc, rows);
                 acc
             },
             |mut a, b| {

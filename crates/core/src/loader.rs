@@ -425,20 +425,6 @@ impl FrameLoader {
         })
     }
 
-    /// Opens a loader over a replication cluster's current read
-    /// replica: the leader's store when one is elected, else the lowest
-    /// live node's. Because committed days are byte-identical on every
-    /// replica (the cluster admits them by digest), a loader re-opened
-    /// against a *different* replica after a failover produces the same
-    /// frames — and since [`FrameKey`] is the bytes' digest, any shared
-    /// cache stays valid across the switch.
-    pub fn replicated(cluster: &spider_raft::Cluster) -> Result<FrameLoader, StoreError> {
-        let store = cluster.replica().ok_or_else(|| {
-            StoreError::Io(std::io::Error::other("no live replica in the cluster"))
-        })?;
-        FrameLoader::new(store)
-    }
-
     /// Replaces the cache with one of the given, fixed capacity (0
     /// disables).
     pub fn with_cache_capacity(mut self, capacity: usize) -> FrameLoader {
@@ -1207,56 +1193,6 @@ mod tests {
             1,
             "fault must fire through the shared seam"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn replicated_loader_survives_leader_failover() {
-        use spider_raft::synth::synth_day_bytes;
-        use spider_raft::{Cluster, ClusterConfig};
-        use spider_snapshot::io::OsIo;
-
-        let dir = std::env::temp_dir().join(format!("spider-loader-repl-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cluster = Cluster::new(&dir, Arc::new(OsIo), ClusterConfig::default()).unwrap();
-        for day in [0u32, 7] {
-            let bytes = synth_day_bytes(day, 60, 5);
-            for _ in 0..2000 {
-                if cluster.propose(day, &bytes).is_some() {
-                    break;
-                }
-                cluster.step();
-            }
-            // Wait for the commit to be audited before the next day.
-            for _ in 0..2000 {
-                if cluster.committed_days().contains_key(&day) {
-                    break;
-                }
-                cluster.step();
-            }
-        }
-        assert!(cluster.run_until_converged(3000));
-
-        let before = FrameLoader::new(cluster.replica().unwrap()).unwrap();
-        let frames: Vec<_> = [0u32, 7]
-            .iter()
-            .map(|&d| before.frame(d).unwrap().unwrap())
-            .collect();
-
-        // Kill the leader; the replicated loader re-opens against a
-        // surviving replica and serves identical frames.
-        let old_leader = cluster
-            .ids()
-            .iter()
-            .copied()
-            .find(|&id| cluster.node(id).is_some_and(|n| n.is_leader()))
-            .expect("a leader exists after convergence");
-        cluster.crash(old_leader);
-        let after = FrameLoader::replicated(&cluster).unwrap();
-        for (i, &day) in [0u32, 7].iter().enumerate() {
-            let frame = after.frame(day).unwrap().unwrap();
-            assert_eq!(*frame, *frames[i], "day {day} across failover");
-        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -54,15 +54,15 @@
 //!   tree, clearing bits: the closure is called once for each row the
 //!   earlier filters kept and never for any other.
 //!
-//! [`FramePred::select`] is also the kernel `spider-serve` runs over its
-//! resident full frames. Its row-at-a-time form, [`FramePred::test`], is
-//! the oracle the equivalence suites hold it to; no scan calls it.
+//! `spider-serve` folds its resident full frames through [`Scan`] too. The
+//! row-at-a-time [`FramePred::test`] is the oracle the equivalence suites
+//! hold [`FramePred::select`] to; no scan calls it.
 //!
 //! The accounts-database join of §4.1.1 is the [`crate::AnalysisContext`]
 //! passed into key functions.
 
 use crate::agg::MultiAgg;
-use crate::engine::Engine;
+use crate::engine::{fold_runs, Engine};
 use crate::frame::SnapshotFrame;
 use rustc_hash::FxHashMap;
 use spider_snapshot::Pred;
@@ -262,12 +262,8 @@ impl Selection {
         self.words.iter().map(|w| w.count_ones() as u64).sum()
     }
 
-    /// Whether row `i` is selected.
-    pub fn contains(&self, i: usize) -> bool {
-        i < self.len && self.words[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    /// The selected row indices, ascending.
+    /// The selected row indices, ascending, a bit at a time: `runs`
+    /// flattened measured 3–5× slower on scattered selections.
     pub fn rows(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &word)| {
             let mut bits = word;
@@ -279,6 +275,35 @@ impl Selection {
                 })
             })
         })
+    }
+
+    /// The maximal runs of selected rows inside `rows`, ascending (each
+    /// non-empty, no two adjacent). A word with no bit set costs one test.
+    fn runs(&self, rows: Range<usize>) -> impl Iterator<Item = Range<usize>> + '_ {
+        let end = rows.end.min(self.len);
+        let mut from = rows.start;
+        std::iter::from_fn(move || {
+            let start = self.seek(from, end, true)?;
+            from = self.seek(start, end, false).unwrap_or(end);
+            Some(start..from)
+        })
+    }
+
+    /// The first row in `from..end` whose bit is `set`.
+    fn seek(&self, from: usize, end: usize, set: bool) -> Option<usize> {
+        // A clear bit is a set bit of the complement.
+        let flip = if set { 0 } else { u64::MAX };
+        let mut w = from / 64;
+        let mut bits = (self.words.get(w)? ^ flip) & u64::MAX << (from % 64);
+        while bits == 0 {
+            w += 1;
+            if w * 64 >= end {
+                return None;
+            }
+            bits = self.words[w] ^ flip;
+        }
+        let row = w * 64 + bits.trailing_zeros() as usize;
+        (row < end).then_some(row)
     }
 
     /// Word-wise `op` of `other` into this selection; both were taken
@@ -443,8 +468,8 @@ impl<'f> Scan<'f> {
 
     /// Groups the selected rows by `key` through [`Engine::group_fold`]
     /// (see there for `fold` and `merge`): the one place a group-by
-    /// reads the selection. Unselected rows key to `None`; an unfiltered
-    /// scan keys every row without testing a bit.
+    /// reads the selection. A filtered scan hands each leaf's runs of
+    /// selected rows to the run fold, so an unselected word costs one test.
     pub(crate) fn group<K, A>(
         &self,
         key: impl Fn(&SnapshotFrame, usize) -> Option<K> + Sync + Send,
@@ -456,18 +481,16 @@ impl<'f> Scan<'f> {
         A: Default + Send,
     {
         let (frame, n) = (self.frame, self.frame.len());
+        let key = |i| key(frame, i);
         match &self.selected {
-            None => self.engine.group_fold(n, |i| key(frame, i), fold, merge),
-            Some(selected) => self.engine.group_fold(
+            None => self.engine.group_fold(n, key, fold, merge),
+            Some(selected) => self.engine.fold_shards(
                 n,
-                |i| {
-                    if selected.contains(i) {
-                        key(frame, i)
-                    } else {
-                        None
+                |acc, rows| {
+                    for run in selected.runs(rows) {
+                        fold_runs(acc, run, &key, &fold);
                     }
                 },
-                fold,
                 merge,
             ),
         }
@@ -858,6 +881,64 @@ mod tests {
             .filter(|f, i| f.atime[i] >= 20)
             .count();
         assert_eq!(composed, 2);
+    }
+
+    /// The next value of a splitmix64 sequence, as a fraction in `[0, 1)`.
+    fn unit(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+    }
+
+    #[test]
+    fn runs_are_the_maximal_runs_of_selected_rows() {
+        use crate::engine::MORSEL_ROWS;
+        let mut state = 0x5eed;
+        let lens = [0, 1, 63, 64, 65, 4095, 4096, 4097, 2 * MORSEL_ROWS + 100];
+        for len in lens {
+            let mut layouts: Vec<Vec<bool>> = [0.0, 0.01, 0.3, 0.5, 0.9, 0.99, 1.0]
+                .iter()
+                .map(|&density| (0..len).map(|_| unit(&mut state) < density).collect())
+                .collect();
+            // Clustered: alternating stretches whose lengths sit on and
+            // beside word and morsel edges.
+            let stretches = [1, 63, 64, 65, 130, 4095, 4097];
+            let (mut clustered, mut on) = (Vec::with_capacity(len), false);
+            while clustered.len() < len {
+                let n = stretches[(unit(&mut state) * stretches.len() as f64) as usize];
+                clustered.extend(std::iter::repeat_n(on, n.min(len - clustered.len())));
+                on = !on;
+            }
+            layouts.push(clustered);
+            for column in &layouts {
+                let selected = Selection::of(column, |b| b);
+                let want: Vec<usize> = (0..len).filter(|&i| column[i]).collect();
+                assert_eq!(selected.rows().collect::<Vec<_>>(), want, "len {len}");
+                let starts = [0, 1, 63, 64, 65, MORSEL_ROWS, 2 * MORSEL_ROWS, len / 2, len];
+                for start in starts {
+                    let ends = [0, 1, 64, MORSEL_ROWS].map(|w| start + w);
+                    for end in ends.into_iter().chain([len, len + 5]) {
+                        let runs: Vec<Range<usize>> = selected.runs(start..end).collect();
+                        let flat: Vec<usize> = runs.iter().cloned().flatten().collect();
+                        let inside: Vec<usize> = want
+                            .iter()
+                            .copied()
+                            .filter(|i| (start..end).contains(i))
+                            .collect();
+                        assert_eq!(flat, inside, "len {len} rows {start}..{end}");
+                        for run in &runs {
+                            assert!(!run.is_empty(), "len {len} rows {start}..{end}");
+                            // Maximal: the rows on either side are outside
+                            // the range or unselected.
+                            assert!(run.start == start || !column[run.start - 1]);
+                            assert!(run.end == end.min(len) || !column[run.end]);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! were folded in), the count, and a non-integer `f64` sum compared by
 //! bits, under both engines. Key layouts cover long runs that cross leaf
 //! edges, `None` keys inside runs and on leaf edges, keys that rarely
-//! repeat (the per-row fallback), and the switch between the two.
+//! repeat (the per-row fallback), and the switch between the two. A
+//! filtered `Scan` group-by hands the same fold only its runs of selected
+//! rows; it is held to the oracle over keys that are `None` off the
+//! selection, with selected runs that cross word and leaf edges.
 
 #[path = "../../../tests/support/cases.rs"]
 mod cases;
@@ -15,7 +18,8 @@ mod cases;
 use cases::{check, Gen};
 use rustc_hash::FxHashMap;
 use spider_core::engine::morsel_rows_for;
-use spider_core::Engine;
+use spider_core::{Engine, Scan, SnapshotFrame};
+use spider_snapshot::{Snapshot, SnapshotRecord};
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -209,4 +213,67 @@ fn random_clustered_layouts_match_the_oracle() {
         }
         assert_matches_oracle(&keys, "random clustered");
     });
+}
+
+/// A frame of `n` rows in index order. The filtered fold below keys and
+/// values rows by index, so nothing but the row count matters.
+fn frame(n: usize) -> SnapshotFrame {
+    let record = |i: usize| SnapshotRecord {
+        path: format!("/p/{i:06}"),
+        atime: 0,
+        ctime: 0,
+        mtime: 0,
+        uid: 0,
+        gid: 0,
+        mode: 0o100664,
+        ino: i as u64 + 1,
+        osts: vec![],
+    };
+    SnapshotFrame::build(&Snapshot::new(0, 0, (0..n).map(record).collect()))
+}
+
+#[test]
+fn filtered_group_fold_walks_selected_runs_across_word_and_leaf_edges() {
+    let n = 70_000;
+    let morsel = morsel_rows_for(n);
+    let frame = frame(n);
+    let mut keys = runs(n, &[1, 63, 4097, 20_000, 2]);
+    for i in (50..n).step_by(997) {
+        keys[i] = None;
+    }
+    let values = values(n);
+    // Stretches that start and end on, just before and just after word
+    // edges, alternately selected and not.
+    let stretches = [1, 63, 64, 65, 127, 129, 4095, 4097];
+    let (mut selected, mut on, mut s) = (Vec::with_capacity(n), true, 0);
+    while selected.len() < n {
+        let len = stretches[s % stretches.len()].min(n - selected.len());
+        selected.extend(std::iter::repeat_n(on, len));
+        (on, s) = (!on, s + 3);
+    }
+    // Selected runs straddling every leaf edge, and a sparse stretch.
+    for edge in (morsel..n).step_by(morsel) {
+        selected[edge - 70..edge + 70].fill(true);
+    }
+    for i in (40_000..45_000).step_by(3) {
+        selected[i] = !selected[i];
+    }
+    let keyed: Vec<Option<u32>> = (0..n).map(|i| keys[i].filter(|_| selected[i])).collect();
+    let oracle = per_row(Engine::Sequential, &keyed, &values);
+    let chosen = selected.iter().filter(|&&b| b).count();
+    for engine in BOTH {
+        let calls = AtomicUsize::new(0);
+        let groups = Scan::with_engine(&frame, engine)
+            .filter(|_, i| selected[i])
+            .group_agg(
+                |_, i| {
+                    calls.fetch_add(1, Relaxed);
+                    keys[i]
+                },
+                |acc: &mut Acc, _, i| acc.push(i, values[i]),
+                Acc::merge,
+            );
+        assert_eq!(calls.into_inner(), chosen, "{engine:?} key calls");
+        assert_eq!(groups, oracle, "{engine:?} filtered groups");
+    }
 }

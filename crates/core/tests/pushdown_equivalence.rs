@@ -193,9 +193,6 @@ fn select_equals_row_test_across_word_boundaries() {
                 want.len() as u64,
                 "{pred:?} over {n} rows"
             );
-            for i in [0, n / 2, n.saturating_sub(1), n, n + 64] {
-                assert_eq!(selected.contains(i), want.contains(&i), "{pred:?} row {i}");
-            }
         }
     }
 }

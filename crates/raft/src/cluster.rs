@@ -412,9 +412,9 @@ impl Cluster {
     /// asynchronously as the fetches complete (watch
     /// [`Cluster::health`]).
     pub fn scrub_and_heal(&mut self, id: NodeId) -> Option<StoreHealth> {
-        // Traced: a query-triggered heal (FrameLoader::replicated) runs
-        // on the request thread, so this span inherits the query's trace
-        // id and the heal shows up attributed in chrome traces.
+        // Traced: a heal run on a request thread (say, by a loader over
+        // `replica()`) inherits that request's trace id, so the heal
+        // shows up attributed in chrome traces.
         let _span = spider_telemetry::global().span("raft.scrub_and_heal");
         let peers: Vec<NodeId> = self.nodes.keys().copied().filter(|&p| p != id).collect();
         let node = self.nodes.get_mut(&id)?;

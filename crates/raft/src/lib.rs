@@ -37,7 +37,7 @@
 //! (one leader per term, committed entries never rewritten), and
 //! reports per-node [`spider_snapshot::StoreHealth`] convergence. The
 //! CLI `cluster` subcommand and the seeded soak/property suites drive
-//! it; `FrameLoader::replicated` in `spider-core` reads through it.
+//! it; a `spider-core` loader over [`cluster::Cluster::replica`] reads it.
 
 #![warn(missing_docs)]
 

@@ -3,13 +3,12 @@
 //! The engine opens the store leniently, scrubs it (quarantining
 //! undecodable days, recording lost sections and nearest-day
 //! substitutions), and then answers aggregate queries from **resident
-//! full frames**: one decoded [`SnapshotFrame`] per `(day, digest)` in
-//! the shared, fairness-aware [`FrameCache`], decoded on first touch and
-//! used by every query shape and tenant. The query moves to the data:
-//! per day its predicate compiles ([`FramePred::compile`]), evaluates
-//! column-at-a-time into a bitmap ([`FramePred::select`]), and the
-//! aggregate folds over the selected rows with integer group keys;
-//! strings appear only when the answer is rendered.
+//! full frames**: one decoded frame per `(day, digest)` in the shared,
+//! fairness-aware [`FrameCache`], decoded on first touch and used by
+//! every query shape and tenant. Each day is folded by the analyses' own
+//! engine — one [`Scan`] filtered by the query's predicate, then one
+//! terminal — and [`AccState`] merges the days' results and renders
+//! them. Group keys stay integers until extension ids merge by name.
 //!
 //! [`QueryEngine::refresh`] (and `open`) is the one freshness point: it
 //! re-lists the store, digests every day's bytes and pins the
@@ -39,9 +38,7 @@
 
 use crate::proto::{AggSpec, GroupBy, Query};
 use rustc_hash::FxHashMap;
-use spider_core::frame::EXT_NONE;
-use spider_core::query::{FramePred, Selection};
-use spider_core::{FrameCache, FrameLoader, SnapshotFrame, TenantId};
+use spider_core::{Engine, FrameCache, FrameLoader, Scan, TenantId};
 use spider_snapshot::store::StoreError;
 use spider_snapshot::{OsIo, Pred, RetryPolicy, SnapshotStore, StoreHealth};
 use spider_telemetry as telemetry;
@@ -99,11 +96,11 @@ pub struct ExecResult {
     pub days_scanned: u64,
     /// Rows matched.
     pub rows: u64,
-    /// Day-window matching + row-predicate compilation.
+    /// Day-window matching.
     pub prune_ns: u64,
     /// Frame lookup; a miss pays its full decode here.
     pub decode_ns: u64,
-    /// Predicate selection plus the fold over the selected rows.
+    /// Predicate compile and selection, then the fold over the selection.
     pub fold_ns: u64,
 }
 
@@ -349,11 +346,11 @@ impl QueryEngine {
         })
     }
 
-    /// Folds one day's resident frame into an accumulator. Returns
-    /// whether the day was scanned (false only if it left the store).
-    /// Stage wall time accrues into `stages`: the frame lookup (a miss
-    /// decodes the whole day) as decode, the predicate compile as prune,
-    /// selection and fold as fold.
+    /// Folds one day's resident frame into an accumulator through a
+    /// [`Scan`]. Returns whether the day was scanned (false only if it
+    /// left the store). Stage wall time accrues into `stages`: the frame
+    /// lookup (a miss decodes the whole day) as decode; the predicate's
+    /// compile and selection and the aggregate fold as fold.
     fn fold_day(
         loader: &FrameLoader,
         (day, digest): PinnedDay,
@@ -367,11 +364,9 @@ impl QueryEngine {
         let Some(frame) = frame else {
             return Ok(false);
         };
-        let compiling = Instant::now();
-        let frame_pred = FramePred::compile(pred, &frame);
-        stages.prune += compiling.elapsed().as_nanos() as u64;
         let folding = Instant::now();
-        acc.fold(&frame, &frame_pred.select(&frame));
+        // Sequential: server workers occupy the cores; parallel measured no faster.
+        acc.fold(&Scan::with_engine(&frame, Engine::Sequential).filter_pred(pred));
         stages.fold += folding.elapsed().as_nanos() as u64;
         Ok(true)
     }
@@ -559,44 +554,42 @@ impl AccState {
         }
     }
 
-    /// Folds the selected rows of one day's frame in.
-    fn fold(&mut self, frame: &SnapshotFrame, selected: &Selection) {
-        let rows = selected.count();
+    /// Folds one day in: one terminal of that day's filtered scan, then
+    /// the day's result merged into the totals.
+    fn fold(&mut self, scan: &Scan) {
+        let rows = scan.count();
         self.rows += rows;
         match self.agg {
             AggSpec::Count => {}
             AggSpec::FilesDirs => {
-                let files = selected.rows().filter(|&i| frame.is_file[i]).count() as u64;
+                let files = scan.clone().files().count();
                 self.files += files;
                 self.dirs += rows - files;
             }
             AggSpec::StripesSum => {
-                self.stripes += selected
-                    .rows()
-                    .map(|i| frame.stripe_count[i] as u64)
-                    .sum::<u64>();
+                let sum = scan.group_agg(
+                    |_, _| Some(()),
+                    |acc: &mut u64, f, i| *acc += f.stripe_count[i] as u64,
+                    |a, b| *a += b,
+                );
+                self.stripes += sum.get(&()).copied().unwrap_or(0);
             }
-            AggSpec::GroupCount { by, .. } => match by {
-                GroupBy::Uid => count_ids(&frame.uid, selected, &mut self.ids),
-                GroupBy::Gid => count_ids(&frame.gid, selected, &mut self.ids),
-                GroupBy::Ext => {
-                    // Count per interned id (last slot: no extension),
-                    // then merge the day into the totals by name.
-                    let none = frame.extension_count();
-                    let mut counts = vec![0u64; none + 1];
-                    for i in selected.rows() {
-                        counts[(frame.ext[i] as usize).min(none)] += 1;
-                    }
-                    for (id, &n) in counts.iter().enumerate().filter(|c| *c.1 > 0) {
-                        let name =
-                            frame.extension_str(if id < none { id as u32 } else { EXT_NONE });
-                        *self
-                            .names
-                            .entry(name.unwrap_or("<none>").into())
-                            .or_insert(0) += n;
+            AggSpec::GroupCount { by, .. } => {
+                let groups = match by {
+                    GroupBy::Uid => scan.group_count(|f, i| Some(f.uid[i])),
+                    GroupBy::Gid => scan.group_count(|f, i| Some(f.gid[i])),
+                    GroupBy::Ext => scan.group_count(|f, i| Some(f.ext[i])),
+                };
+                for (id, n) in groups {
+                    if by == GroupBy::Ext {
+                        // Interned ids are per frame: merge by name.
+                        let name = scan.frame().extension_str(id).unwrap_or("<none>");
+                        *self.names.entry(name.into()).or_insert(0) += n;
+                    } else {
+                        *self.ids.entry(id).or_insert(0) += n;
                     }
                 }
-            },
+            }
         }
     }
 
@@ -633,24 +626,5 @@ impl AccState {
                 out
             }
         }
-    }
-}
-
-/// Counts the selected rows of an id column into `groups`. Frames are
-/// path-sorted and a directory's entries mostly share an owner, so ids
-/// arrive in runs: one map update per run, not per row.
-fn count_ids(column: &[u32], selected: &Selection, groups: &mut FxHashMap<u32, u64>) {
-    let (mut id, mut run) = (0, 0u64);
-    for i in selected.rows() {
-        if column[i] != id {
-            if run > 0 {
-                *groups.entry(id).or_insert(0) += run;
-            }
-            (id, run) = (column[i], 0);
-        }
-        run += 1;
-    }
-    if run > 0 {
-        *groups.entry(id).or_insert(0) += run;
     }
 }

@@ -1,6 +1,7 @@
-//! The served fold — resident full frame → `FramePred::select` →
-//! integer-keyed `AccState` → render — against a row-at-a-time oracle
-//! that shares none of it: frames built from *rows*
+//! The served fold — resident full frame → one filtered `Scan` per day
+//! and one terminal (count, files count, stripe sum, or group count by
+//! integer key) → `AccState` merge across days → render — against a
+//! row-at-a-time oracle that shares none of it: frames built from *rows*
 //! (`SnapshotFrame::build` over `get_lossy`), `FramePred::test` per row,
 //! string group keys from the first row on. Bytes are compared, not
 //! values: `result`, `rows`, `days_scanned` and the notes of every

@@ -2,9 +2,12 @@
 //!
 //! The real LustreDU walks up to a billion inodes per night; ours walks the
 //! in-memory substrate. The scan is the hot path of the simulation driver
-//! (executed per snapshot day), so it does a single pass over the inode
-//! table and reconstructs paths without intermediate allocations beyond the
-//! output records themselves.
+//! (executed per snapshot day): one pass over the inode table, in its
+//! unspecified order, then a sort of the records by path
+//! ([`Snapshot::new`]). Each row's path is rebuilt from scratch by
+//! `fs.path()`, which walks every level up to the root (one lookup and one
+//! `Vec` push per level) and then allocates the `String`, so a row costs
+//! O(depth) — and the simulated namespace reaches depths past 2,000.
 
 use crate::record::SnapshotRecord;
 use crate::snapshot::Snapshot;

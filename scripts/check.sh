@@ -12,6 +12,14 @@ echo "== cargo build --release --locked"
 cargo build --release --locked
 echo "== cargo test -q --locked"
 cargo test -q --locked
+# The analysis engine builds without the replication crate: raft's
+# tests read frames through spider-core, never the reverse.
+echo "== spider-core does not depend on spider-raft"
+core_deps="$(cargo tree --offline --locked -p spider-core -e normal)"
+if grep -q spider-raft <<<"$core_deps"; then
+    echo "spider-core depends on spider-raft again" >&2
+    exit 1
+fi
 # The fork-join pool every parallel scan runs on: joins, maps,
 # panics on either side, nested joins from workers and four OS
 # threads forking at once, rerun so a rare race is a named failure.
